@@ -33,15 +33,12 @@ use hyscale_core::pipeline::{
     simulate_pipeline, simulate_pipeline_multilane, simulate_pipeline_ringed, PipelineStageCosts,
 };
 use hyscale_core::{
-    EpochReport, HybridTrainer, IterationFeed, MatrixPool, OptFlags, PrepareCtx, StagingRings,
-    SystemConfig, ThreadAlloc, TransferLaneGate, WallStageTimes,
+    EpochReport, HybridTrainer, OptFlags, SystemConfig, ThreadAlloc, WallStageTimes,
 };
 use hyscale_gnn::GnnKind;
 use hyscale_graph::dataset::OGBN_PRODUCTS;
 use hyscale_graph::features::Splits;
 use hyscale_graph::Dataset;
-use hyscale_sampler::{EpochBatcher, NeighborSampler};
-use std::sync::Arc;
 
 const DEPTH: usize = 2;
 
@@ -74,9 +71,9 @@ fn dataset() -> Dataset {
 fn config(prefetch_depth: usize) -> SystemConfig {
     let mut cfg = SystemConfig::paper_default(AcceleratorKind::u250(), GnnKind::GraphSage);
     // Static mapping: the tracked number is the settled steady state of
-    // paper Eq. 6. DRM's balance_work moves invalidate the speculative
-    // queue (that path is exercised by tests/equivalence.rs); with DRM
-    // live the bench would mostly measure re-mapping churn.
+    // paper Eq. 6. DRM's balance_work moves restart the prefetch
+    // producer (that path is exercised by tests/equivalence.rs); with
+    // DRM live the bench would mostly measure re-mapping churn.
     cfg.opt = OptFlags {
         hybrid: true,
         drm: false,
@@ -106,86 +103,6 @@ fn run(prefetch_depth: usize, dataset: &Dataset) -> Vec<EpochReport> {
 
 fn functional_wall(reports: &[EpochReport]) -> f64 {
     reports.iter().map(|r| r.wall_s).sum()
-}
-
-/// Mid-epoch single-lane rebalance scenario (runs in smoke mode too):
-/// a hybrid feed with three accelerator transfer lanes takes a *burst*
-/// of two `balance_work` moves — both shifting seeds from lane 0 to
-/// the CPU trainer, while lanes 1 and 2 keep their slices. The feed
-/// must coalesce the burst into one re-slice against the final quotas,
-/// salvage the untouched trainers' queued batches, and drain only lane
-/// 0's ring and lane channel; the returned tuple is
-/// `(batches_salvaged, batches_flushed, invalidation_cost_s,
-/// remaps_coalesced)` for the bench JSON.
-fn invalidation_scenario(dataset: &Dataset) -> (usize, usize, f64, usize) {
-    let dataset = Arc::new(dataset.clone());
-    let batcher = EpochBatcher::new(dataset.splits.train.clone(), 7);
-    let order = Arc::new(batcher.epoch_order(0));
-    let alloc = ThreadAlloc::default_for(8);
-    let ctx = Arc::new(PrepareCtx {
-        dataset,
-        batcher,
-        sampler: NeighborSampler::new(vec![5, 3], 11),
-        precision: hyscale_tensor::Precision::Int8,
-        hybrid: true,
-        workers: Arc::new(hyscale_core::StageWorkers::from_alloc(&alloc)),
-        numa_domains: 2,
-        rings: Arc::new(StagingRings::new(3, 2)),
-        transfer_gate: Arc::new(TransferLaneGate::new(alloc.loader, true)),
-        origin: std::time::Instant::now(),
-    });
-    let pool = Arc::new(MatrixPool::new());
-    let old_quotas = vec![12usize, 8, 8, 8];
-    let mut feed = IterationFeed::new(
-        Arc::clone(&ctx),
-        order,
-        0,
-        usize::MAX,
-        3,
-        Arc::clone(&pool),
-        old_quotas.clone(),
-    );
-    let first = feed.obtain(0, &old_quotas).expect("iteration 0");
-    first.recycle(&pool);
-    // Wait for the producer's steady fill (bounded: ~10 s): at ring
-    // depth 2 exactly two iterations can be fully prepared — each holds
-    // one slot per lane, the third blocks — so the salvage accounting
-    // is deterministic: 2 settled trainers × 2 queued iterations. Fail
-    // loudly on timeout: salvaging 0 batches here would otherwise only
-    // surface as an opaque assert in the CI JSON check.
-    let fill_deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while feed.buffered() < 2 {
-        assert!(
-            std::time::Instant::now() < fill_deadline,
-            "producer never buffered 2 iterations (got {}) — bench raced its own producer",
-            feed.buffered()
-        );
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    // burst of single-lane moves: [12, 8, 8, 8] -> [14, 6, 8, 8] ->
-    // [16, 4, 8, 8]; the feed coalesces them into ONE re-slice against
-    // the final quotas (diff oldest-kept vs newest), applied at the
-    // next obtain
-    feed.invalidate(1, vec![14usize, 6, 8, 8]);
-    let new_quotas = vec![16usize, 4, 8, 8];
-    feed.invalidate(1, new_quotas.clone());
-    let second = feed.obtain(1, &new_quotas).expect("post-remap iteration");
-    second.recycle(&pool);
-    let (salvaged, flushed) = feed.salvage_stats();
-    let cost = feed.invalidation_wall_s();
-    let coalesced = feed.remaps_coalesced();
-    assert_eq!(
-        feed.rings().ring(0).channel_drains(),
-        1,
-        "the moved lane's channel must drain exactly once for the burst"
-    );
-    assert_eq!(
-        feed.rings().ring(1).channel_drains() + feed.rings().ring(2).channel_drains(),
-        0,
-        "untouched lanes' channels must not drain"
-    );
-    feed.finish();
-    (salvaged, flushed, cost, coalesced)
 }
 
 /// Overlap-aware DRM scenario: replay one Algorithm 1 decision on the
@@ -313,11 +230,6 @@ fn main() {
     let lane_transfer_json = fmt_lanes(&prefetch_means.lane_transfer_s);
     let lane_hidden_json = fmt_lanes(&prefetch_means.lane_transfer_hidden_s);
 
-    // Surgical-invalidation scenario: mid-epoch single-lane rebalance
-    // burst, coalesced into one re-slice.
-    let (batches_salvaged, batches_flushed, invalidation_cost_s, remaps_coalesced) =
-        invalidation_scenario(&dataset);
-
     // Overlap-aware DRM scenario: one Algorithm 1 decision with the
     // measured visible-transfer share vs. the bundled assumption.
     let (drm_visible_ratio, drm_quota_delta) =
@@ -341,8 +253,6 @@ fn main() {
          \"transfer_hidden_s\": {:.6},\n  \
          \"lane_transfer_s\": {},\n  \"lane_transfer_hidden_s\": {},\n  \
          \"drm_queue_restarts\": {},\n  \
-         \"batches_salvaged\": {},\n  \"batches_flushed\": {},\n  \
-         \"invalidation_cost_s\": {:.6},\n  \"drm_remaps_coalesced\": {},\n  \
          \"drm_overlap_visible_ratio\": {:.4},\n  \"drm_overlap_quota_delta\": {},\n  \
          \"numa_domains\": {},\n  \"thread_alloc\": {{\"sampler\": {}, \"loader\": {}, \
          \"trainer\": {}}}\n}}\n",
@@ -376,10 +286,6 @@ fn main() {
         lane_transfer_json,
         lane_hidden_json,
         restarts,
-        batches_salvaged,
-        batches_flushed,
-        invalidation_cost_s,
-        remaps_coalesced,
         drm_visible_ratio,
         drm_quota_delta,
         numa_domains,
@@ -394,13 +300,10 @@ fn main() {
          {predicted:.2}x at depth {DEPTH}; ring 1 -> 2 hides \
          {:.1} ms of transfer per iteration (predicted); {transfer_lanes} transfer lane(s), \
          serialized -> concurrent lanes saves {:.1} ms over the epoch (predicted); \
-         measured transfer overlap {:.0}%; burst rebalance salvaged {batches_salvaged} / \
-         flushed {batches_flushed} batches in {:.1} ms ({remaps_coalesced} re-map \
-         coalesced); overlap-aware DRM quota delta {drm_quota_delta}; wrote \
-         BENCH_pipeline.json",
+         measured transfer overlap {:.0}%; overlap-aware DRM quota delta \
+         {drm_quota_delta}; wrote BENCH_pipeline.json",
         predicted_hidden_per_iter * 1e3,
         (lanes_serialized_wall - lanes_concurrent_wall) * 1e3,
         transfer_overlap_ratio * 100.0,
-        invalidation_cost_s * 1e3,
     );
 }

@@ -95,84 +95,6 @@ impl WorkloadSplit {
     }
 }
 
-/// Trainer-level diff of a `balance_work` re-mapping: which trainers'
-/// seed slices move when the per-iteration quotas change from `old` to
-/// `new`.
-///
-/// Within an iteration, trainer `t` consumes the contiguous slice
-/// `[prefix(t), prefix(t) + q[t])` of the epoch order (see
-/// [`EpochBatcher::iteration_seeds`](hyscale_sampler::EpochBatcher)), so
-/// its slice is unchanged exactly when both its prefix offset and its
-/// own quota are. Only the changed trainers need re-slicing after a
-/// `balance_work` move — settled trainers keep their prepared batches,
-/// and only the staging rings of *changed* accelerator lanes need a
-/// drain. A diff where nothing moved ([`is_noop`](Self::is_noop)) is
-/// the zero-diff `balance_work` the prefetcher treats as a no-op.
-///
-/// ```
-/// use hyscale_core::drm::QuotaDiff;
-///
-/// // CPU gains 4 seeds from accelerator lane 0; lanes 1 and 2 settle.
-/// let diff = QuotaDiff::between(&[12, 8, 8, 8], &[16, 4, 8, 8]);
-/// assert!(!diff.is_noop());
-/// assert_eq!(diff.num_changed(), 2); // CPU trainer + accel trainer 0
-/// assert_eq!(diff.changed_lanes(true, 3), vec![true, false, false]);
-/// assert!(QuotaDiff::between(&[8, 8], &[8, 8]).is_noop());
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuotaDiff {
-    changed: Vec<bool>,
-}
-
-impl QuotaDiff {
-    /// Diff the per-trainer quotas `old` → `new`. A change in trainer
-    /// count or in the per-iteration total moves *every* slice (the
-    /// iteration's start offset depends on the total), so those diffs
-    /// mark all trainers changed.
-    pub fn between(old: &[usize], new: &[usize]) -> Self {
-        if old.len() != new.len() || old.iter().sum::<usize>() != new.iter().sum::<usize>() {
-            return Self {
-                changed: vec![true; new.len().max(old.len())],
-            };
-        }
-        let mut changed = Vec::with_capacity(new.len());
-        let (mut old_prefix, mut new_prefix) = (0usize, 0usize);
-        for (&o, &n) in old.iter().zip(new) {
-            changed.push(old_prefix != new_prefix || o != n);
-            old_prefix += o;
-            new_prefix += n;
-        }
-        Self { changed }
-    }
-
-    /// `true` when no trainer's slice moved (a zero-diff re-map).
-    pub fn is_noop(&self) -> bool {
-        !self.changed.iter().any(|&c| c)
-    }
-
-    /// Whether trainer `t`'s seed slice moved (out-of-range trainers
-    /// count as changed — a topology change invalidates everything).
-    pub fn trainer_changed(&self, t: usize) -> bool {
-        self.changed.get(t).copied().unwrap_or(true)
-    }
-
-    /// Number of trainers whose slice moved.
-    pub fn num_changed(&self) -> usize {
-        self.changed.iter().filter(|&&c| c).count()
-    }
-
-    /// Per-accelerator-lane change mask: lane `a` serves trainer
-    /// `a + usize::from(hybrid)` (the CPU trainer, when hybrid, holds
-    /// index 0 and has no staging lane). Only `true` lanes need their
-    /// staging ring drained.
-    pub fn changed_lanes(&self, hybrid: bool, num_lanes: usize) -> Vec<bool> {
-        let offset = usize::from(hybrid);
-        (0..num_lanes)
-            .map(|a| self.trainer_changed(a + offset))
-            .collect()
-    }
-}
-
 /// CPU worker-thread allocation across the CPU-resident tasks.
 ///
 /// This is the DRM's *model* of the thread budget; the executor mirrors
@@ -296,14 +218,14 @@ pub struct ScriptedDrmEvent {
 
 /// The move kinds a [`ScriptedDrmEvent`] can apply. Each maps onto the
 /// same executor paths the live [`DrmEngine`] drives, so a scripted
-/// schedule exercises exactly the production invalidation machinery.
+/// schedule exercises exactly the production restart path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScriptedDrm {
     /// `balance_work`: shift up to `to_cpu.unsigned_abs()` seeds toward
     /// the CPU trainer (positive) or the accelerator pool (negative).
     /// The split clamps the move, so a scripted shift may land as a
-    /// *zero-diff* re-map — deliberately: that is the no-op
-    /// invalidation path under test.
+    /// *zero-diff* re-map — deliberately: equal quotas must cost the
+    /// prefetch producer nothing.
     BalanceWork {
         /// Positive: seeds toward the CPU; negative: toward accelerators.
         to_cpu: isize,
@@ -316,8 +238,8 @@ pub enum ScriptedDrm {
         /// Recipient CPU task.
         to: Stage,
     },
-    /// Re-issue the current quotas unchanged — a pure zero-diff
-    /// `balance_work` that a surgical invalidator must treat as free.
+    /// Leave the quotas unchanged — a pure zero-diff `balance_work`,
+    /// which must not restart the prefetch producer.
     Noop,
 }
 
@@ -793,46 +715,6 @@ mod tests {
             s.cpu_quota
         );
         assert!(last_gap < 1.5, "residual imbalance {last_gap}");
-    }
-
-    #[test]
-    fn quota_diff_marks_prefix_and_own_changes() {
-        // CPU gains from lane 0: lanes 1, 2 keep both prefix and quota.
-        let d = QuotaDiff::between(&[12, 8, 8, 8], &[16, 4, 8, 8]);
-        assert!(d.trainer_changed(0) && d.trainer_changed(1));
-        assert!(!d.trainer_changed(2) && !d.trainer_changed(3));
-        assert_eq!(d.num_changed(), 2);
-        assert_eq!(d.changed_lanes(true, 3), vec![true, false, false]);
-        // same quota but shifted prefix counts as changed
-        let d2 = QuotaDiff::between(&[8, 4, 8], &[4, 4, 12]);
-        assert!(d2.trainer_changed(1), "prefix moved under trainer 1");
-        assert_eq!(d2.num_changed(), 3);
-    }
-
-    #[test]
-    fn quota_diff_zero_diff_is_noop() {
-        let d = QuotaDiff::between(&[8, 8, 8], &[8, 8, 8]);
-        assert!(d.is_noop());
-        assert_eq!(d.num_changed(), 0);
-        assert_eq!(d.changed_lanes(true, 2), vec![false, false]);
-    }
-
-    #[test]
-    fn quota_diff_total_or_topology_change_invalidates_all() {
-        // total changed: every iteration's start offset moves
-        let d = QuotaDiff::between(&[8, 8, 8], &[8, 8, 4]);
-        assert_eq!(d.num_changed(), 3);
-        // trainer count changed
-        let d2 = QuotaDiff::between(&[8, 8], &[8, 4, 4]);
-        assert_eq!(d2.num_changed(), 3);
-        assert!(d2.trainer_changed(9), "out-of-range counts as changed");
-    }
-
-    #[test]
-    fn quota_diff_lane_mask_respects_hybrid_offset() {
-        let d = QuotaDiff::between(&[12, 8, 8, 8], &[16, 4, 8, 8]);
-        // non-hybrid: trainer 0 *is* lane 0
-        assert_eq!(d.changed_lanes(false, 4), vec![true, true, false, false]);
     }
 
     #[test]

@@ -132,7 +132,7 @@ impl HybridTrainer {
     /// the script is the only source of re-mapping). Scripted
     /// `balance_work` moves are clamped by the split exactly like
     /// engine moves, so a scripted shift can legitimately land as a
-    /// zero-diff re-map — the no-op invalidation path.
+    /// zero-diff re-map, which costs the prefetch producer nothing.
     pub fn set_drm_schedule(&mut self, schedule: Vec<ScriptedDrmEvent>) {
         self.drm_schedule = schedule;
     }
@@ -274,9 +274,14 @@ impl HybridTrainer {
     ///
     /// With `prefetch_depth > 0` the producer stages (sampling, feature
     /// loading, precision round-trip) run on a background thread feeding
-    /// a bounded queue, overlapped with GNN propagation here; DRM
-    /// re-mapping events invalidate the queue before a split change
-    /// takes effect, so training is bitwise-identical to `depth = 0`.
+    /// a bounded queue, overlapped with GNN propagation here. Each
+    /// iteration is requested under the live split's quotas, so a DRM
+    /// `balance_work` move restarts the producer before the new split
+    /// takes effect, and training is bitwise-identical to `depth = 0`.
+    ///
+    /// # Panics
+    /// If a producer or trainer thread panics: a crashed stage is
+    /// re-raised here rather than ending the epoch early.
     pub fn train_epoch(&mut self) -> EpochReport {
         let epoch = self.next_epoch;
         self.next_epoch += 1;
@@ -330,15 +335,15 @@ impl HybridTrainer {
 
         for iter in 0..functional_iters {
             let iter_wall = Instant::now();
-            // Salvage accounting snapshot: everything the feed salvages
-            // or flushes during this iteration (stale-recovery inside
-            // `obtain`, DRM/scripted invalidations below) lands in this
-            // iteration's measured walls.
-            let (salvaged0, flushed0) = feed.salvage_stats();
-            let invalidation0 = feed.invalidation_wall_s();
+            // Restart accounting snapshot: a producer restart triggered
+            // by this iteration's request (the previous iteration's DRM
+            // move) lands in this iteration's measured walls.
+            let flushed0 = feed.batches_flushed();
+            let restart0 = feed.restart_wall_s();
             let quotas = self.split.quotas();
             // Sampling + Feature Loading + wire round-trip: prepared
-            // inline at depth 0, received from the producer otherwise.
+            // inline at depth 0, received from the producer otherwise
+            // (which restarts first if the quotas moved).
             let Some(prepared) = feed.obtain(iter, &quotas) else {
                 break; // epoch seeds exhausted
             };
@@ -476,14 +481,7 @@ impl HybridTrainer {
             // to their lane's staging-ring free list, the CPU batch to
             // the shared pool: steady-state iterations allocate no
             // fresh ones.
-            for (idx, m) in features.into_iter().enumerate() {
-                if let Some(m) = m {
-                    match ctx.accel_of(idx) {
-                        Some(a) => self.rings.ring(a).put_buffer(m),
-                        None => self.pool.release(m),
-                    }
-                }
-            }
+            ctx.recycle(features, &self.pool);
             // Propagation done: free this batch's staging slots so the
             // transfer stage can ship the next batch into them.
             drop(slots);
@@ -544,21 +542,19 @@ impl HybridTrainer {
             } else {
                 DrmAction::None
             };
-            // A balance_work move changed the per-trainer quotas: drain
-            // the prefetch queue and restart the producer under the new
-            // split before it takes effect (the determinism contract).
-            // A balance_thread move only shifts the thread budget, so it
-            // re-sizes the shared worker pools in place — the producer
-            // picks the new widths up on its next dispatch and measured
-            // stage walls shift without losing prepared iterations.
-            match action {
-                DrmAction::BalanceWork { .. } => feed.invalidate(iter + 1, self.split.quotas()),
-                DrmAction::BalanceThread { .. } => feed.rebalance_threads(&self.threads),
-                _ => {}
+            // A balance_work move changed the per-trainer quotas: the
+            // next `obtain` asks for them and restarts the producer (the
+            // determinism contract). A balance_thread move only shifts
+            // the thread budget, so it re-sizes the shared worker pools
+            // in place — the producer picks the new widths up on its
+            // next dispatch and measured stage walls shift without
+            // losing prepared iterations.
+            if let DrmAction::BalanceThread { .. } = action {
+                feed.rebalance_threads(&self.threads);
             }
 
             // Scripted DRM moves (test/bench injection) ride the exact
-            // same invalidation paths as live engine decisions.
+            // same paths as live engine decisions.
             for k in 0..self.drm_schedule.len() {
                 let ev = self.drm_schedule[k];
                 if ev.epoch != epoch || ev.iter != iter {
@@ -571,19 +567,17 @@ impl HybridTrainer {
                         } else {
                             self.split.shift_to_accel(to_cpu.unsigned_abs());
                         }
-                        feed.invalidate(iter + 1, self.split.quotas());
                     }
                     ScriptedDrm::BalanceThread { from, to } => {
                         if self.threads.shift(from, to) {
                             feed.rebalance_threads(&self.threads);
                         }
                     }
-                    ScriptedDrm::Noop => feed.invalidate(iter + 1, self.split.quotas()),
+                    ScriptedDrm::Noop => {}
                 }
             }
 
-            let (salvaged, flushed) = feed.salvage_stats();
-            let invalidation_s = feed.invalidation_wall_s() - invalidation0;
+            let invalidation_s = feed.restart_wall_s() - restart0;
 
             trace.push(IterationReport {
                 iter,
@@ -604,8 +598,8 @@ impl HybridTrainer {
                     lane_transfer_hidden_s,
                     train_s: train_wall_s,
                     iter_s: iter_wall.elapsed().as_secs_f64(),
-                    batches_salvaged: salvaged - salvaged0,
-                    batches_flushed: flushed - flushed0,
+                    batches_salvaged: 0,
+                    batches_flushed: feed.batches_flushed() - flushed0,
                     invalidation_s,
                     threads: observed_threads,
                 },

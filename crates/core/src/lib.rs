@@ -26,7 +26,7 @@
 //!   dedicated transfer stage precision-round-trips iterations through
 //!   per-accelerator [`prefetch::StagingRing`]s into a bounded queue
 //!   overlapped with GNN propagation — double-buffered wire transfer,
-//!   pool-recycled buffers, DRM-aware queue + ring invalidation,
+//!   pool-recycled buffers, a producer restart on every quota change,
 //!   bitwise-identical to serial execution.
 //! * [`executor`] — the hybrid trainer: 4-stage pipeline (Sampling →
 //!   Feature Loading → Data Transfer → GNN Propagation) with Two-stage
@@ -53,7 +53,7 @@ pub mod stages;
 pub mod sync;
 
 pub use config::{AcceleratorKind, OptFlags, PlatformConfig, SystemConfig, TrainConfig};
-pub use drm::{DrmEngine, QuotaDiff, ScriptedDrm, ScriptedDrmEvent, ThreadAlloc, WorkloadSplit};
+pub use drm::{DrmEngine, ScriptedDrm, ScriptedDrmEvent, ThreadAlloc, WorkloadSplit};
 pub use executor::HybridTrainer;
 pub use perf_model::PerfModel;
 pub use prefetch::{

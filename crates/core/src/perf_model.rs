@@ -288,30 +288,6 @@ impl PerfModel {
         per_lane_transfer_times(&self.platform, &inputs)
     }
 
-    /// Predicted producer-side cost of one DRM `balance_work`
-    /// invalidation under this model's stage times: the prepared window
-    /// (`prefetch_depth + ring_depth` iterations in queue and staging
-    /// slots) redoes the work of the trainers whose quota moved.
-    /// `changed_trainers / total_trainers` is the surgical share; pass
-    /// `changed = total` for the pre-surgical full flush. The gap
-    /// between the two is exactly what per-trainer re-slicing saves per
-    /// re-mapping event.
-    pub fn invalidation_cost(
-        &self,
-        dataset: &DatasetSpec,
-        split: &WorkloadSplit,
-        threads: &ThreadAlloc,
-        prefetch_depth: usize,
-        ring_depth: usize,
-        changed_trainers: usize,
-    ) -> f64 {
-        let times = self.stage_times_runtime(dataset, split, threads);
-        let costs = crate::pipeline::PipelineStageCosts::from_stage_times(&times);
-        let total = 1 + split.num_accelerators;
-        let share = changed_trainers.min(total) as f64 / total as f64;
-        crate::pipeline::invalidation_cost(&costs, prefetch_depth, ring_depth, share)
-    }
-
     /// Optimal sampling share for the accelerators given the CPU
     /// sampler's thread budget: balance `T_SC == T_SA` analytically.
     fn sampling_share(&self, sampler_threads: usize) -> f64 {
@@ -473,27 +449,6 @@ mod tests {
         let (split, _) = pm.initial_mapping(&OGBN_PAPERS100M);
         assert_eq!(split.cpu_quota, 0);
         assert_eq!(split.total, 4 * 1024);
-    }
-
-    #[test]
-    fn partial_invalidation_costs_less_than_full() {
-        let cfg = fpga_cfg(GnnKind::GraphSage);
-        let pm = PerfModel::new(&cfg);
-        let (split, threads) = pm.initial_mapping(&OGBN_PRODUCTS);
-        let total = 1 + split.num_accelerators;
-        let one_lane = pm.invalidation_cost(&OGBN_PRODUCTS, &split, &threads, 2, 2, 2);
-        let full = pm.invalidation_cost(&OGBN_PRODUCTS, &split, &threads, 2, 2, total);
-        assert!(one_lane > 0.0, "a real re-map is never free");
-        assert!(
-            one_lane < full * 0.5,
-            "2-of-{total} trainers re-sliced should cost well under a full flush: \
-             {one_lane} vs {full}"
-        );
-        // zero changed trainers = zero-diff no-op
-        assert_eq!(
-            pm.invalidation_cost(&OGBN_PRODUCTS, &split, &threads, 2, 2, 0),
-            0.0
-        );
     }
 
     #[test]

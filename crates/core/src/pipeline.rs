@@ -95,131 +95,6 @@ pub fn simulate_pipeline(
 /// Index of the Data Transfer stage in [`PipelineStageCosts::as_array`].
 const TRANSFER_STAGE: usize = 2;
 
-/// One DRM invalidation in the simulated pipeline: fired when iteration
-/// `at_iter - 1`'s propagation completes (the moment Algorithm 1 makes
-/// its decision), it discards `changed_share` of every in-flight
-/// iteration's producer work.
-///
-/// `changed_share = 1.0` models the pre-surgical behavior — every
-/// prepared batch thrown away; smaller shares model the surgical
-/// re-slice, where only the trainers whose quota moved are redone;
-/// `0.0` is the zero-diff no-op and costs nothing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlushEvent {
-    /// First iteration prepared under the new quotas (must be ≥ 1: the
-    /// decision is made after some iteration completes).
-    pub at_iter: usize,
-    /// Share of each in-flight iteration's producer work invalidated,
-    /// clamped to `[0, 1]`.
-    pub changed_share: f64,
-}
-
-/// Producer work one DRM invalidation discards: up to
-/// `depth + ring_depth` iterations are speculatively in flight (queue
-/// plus staging slots), and each loses `changed_share` of its prepare
-/// cost (sampling + loading + transfer). This is the per-event flush
-/// tax the surgical invalidator shrinks: a single-lane re-map on an
-/// `n`-trainer split pays roughly `1/n` of the full-flush cost.
-pub fn invalidation_cost(
-    costs: &PipelineStageCosts,
-    depth: usize,
-    ring_depth: usize,
-    changed_share: f64,
-) -> f64 {
-    if depth == 0 {
-        return 0.0; // serial execution stages nothing ahead
-    }
-    let window = (depth + ring_depth.max(1)) as f64;
-    window * changed_share.clamp(0.0, 1.0) * (costs.sample + costs.load + costs.transfer)
-}
-
-/// [`simulate_pipeline_ringed`] with DRM invalidations: each
-/// [`FlushEvent`] gates iterations at the decision instant and makes
-/// the in-flight window (`depth + ring_depth` iterations from
-/// `at_iter`) redo `changed_share` of its producer-stage work. A
-/// zero-share event is skipped entirely — the modeled twin of the
-/// zero-diff `balance_work` no-op.
-#[allow(clippy::needless_range_loop)] // gates read finished[i - k]
-pub fn simulate_pipeline_ringed_flushed(
-    costs: &PipelineStageCosts,
-    iterations: usize,
-    depth: usize,
-    ring_depth: usize,
-    flushes: &[FlushEvent],
-) -> PipelineRun {
-    assert!(iterations > 0, "need at least one iteration");
-    if depth == 0 || flushes.iter().all(|f| f.changed_share <= 0.0) {
-        // serial execution redoes everything inline anyway; zero-share
-        // events cost nothing by construction
-        return simulate_pipeline_ringed(costs, iterations, depth, ring_depth);
-    }
-    let stage_costs = costs.as_array();
-    let window = depth + ring_depth.max(1);
-    let mut stage_free = vec![0.0f64; stage_costs.len()];
-    let mut completions = Vec::with_capacity(iterations);
-    let mut finished = vec![0.0f64; iterations];
-
-    for i in 0..iterations {
-        let gate = if i > depth {
-            finished[i - depth - 1]
-        } else {
-            0.0
-        };
-        let mut batch_ready = gate;
-        // Active invalidations: the redo work of a flush at `k` with
-        // share `s` occupies the producer stages after the decision
-        // instant `finished[k - 1]`, scaled to the discarded share; the
-        // salvaged share flows through for free. An iteration hit by
-        // several flushes redoes each one's share in turn, so shares
-        // *add* (matching one `invalidation_cost` charge per event and
-        // possibly exceeding a single fresh prepare) — they never
-        // multiply, which would make two re-maps cheaper than one.
-        let mut redo = 0.0f64;
-        let mut in_window = false;
-        for f in flushes {
-            let k = f.at_iter.max(1);
-            let s = f.changed_share.clamp(0.0, 1.0);
-            if s <= 0.0 || i < k {
-                continue;
-            }
-            batch_ready = batch_ready.max(finished[k - 1]);
-            if i < k + window {
-                redo += s;
-                in_window = true;
-            }
-        }
-        let scale = if in_window { redo } else { 1.0 };
-        for (st, &cost) in stage_costs.iter().enumerate() {
-            // only the producer stages (sample/load/transfer) redo work
-            let effective = if st <= TRANSFER_STAGE {
-                cost * scale
-            } else {
-                cost
-            };
-            let mut start = batch_ready.max(stage_free[st]);
-            if st == TRANSFER_STAGE && ring_depth > 0 && i >= ring_depth {
-                start = start.max(finished[i - ring_depth]);
-            }
-            let end = start + effective;
-            stage_free[st] = end;
-            batch_ready = end;
-        }
-        finished[i] = batch_ready;
-        completions.push(batch_ready);
-    }
-
-    let steady_gap = if iterations >= 2 {
-        completions[iterations - 1] - completions[iterations - 2]
-    } else {
-        completions[0]
-    };
-    PipelineRun {
-        makespan: completions[iterations - 1],
-        completions,
-        steady_gap,
-    }
-}
-
 /// [`simulate_pipeline_ringed`] with the Data Transfer stage split into
 /// per-accelerator *lanes*: `lane_transfer[a]` is accelerator `a`'s wire
 /// time per iteration, and up to `concurrent_lanes` lanes run their
@@ -556,114 +431,6 @@ mod tests {
         // a ring at least as deep as the prefetch window changes nothing
         let deep = simulate_pipeline_ringed(&c, 30, 2, 30);
         assert_eq!(plain.completions, deep.completions);
-    }
-
-    #[test]
-    fn zero_share_flush_is_free() {
-        // the modeled twin of the zero-diff balance_work no-op
-        let c = costs(1.0, 1.0, 2.0, 3.0);
-        let base = simulate_pipeline_ringed(&c, 30, 2, 2);
-        let ev = [FlushEvent {
-            at_iter: 10,
-            changed_share: 0.0,
-        }];
-        let flushed = simulate_pipeline_ringed_flushed(&c, 30, 2, 2, &ev);
-        assert_eq!(base.completions, flushed.completions);
-        assert_eq!(invalidation_cost(&c, 2, 2, 0.0), 0.0);
-    }
-
-    #[test]
-    fn partial_flush_costs_less_than_full() {
-        let c = costs(1.0, 1.5, 2.0, 2.5);
-        let at = |share: f64| {
-            simulate_pipeline_ringed_flushed(
-                &c,
-                40,
-                3,
-                2,
-                &[FlushEvent {
-                    at_iter: 15,
-                    changed_share: share,
-                }],
-            )
-            .makespan
-        };
-        let none = simulate_pipeline_ringed(&c, 40, 3, 2).makespan;
-        let (quarter, half, full) = (at(0.25), at(0.5), at(1.0));
-        assert!(none <= quarter + 1e-9, "a flush can never be free");
-        assert!(
-            quarter <= half + 1e-9 && half <= full + 1e-9,
-            "monotone in share"
-        );
-        assert!(
-            full > quarter + 1e-9,
-            "full flush must cost strictly more than a quarter re-slice: {full} vs {quarter}"
-        );
-        // analytic tax orders the same way
-        assert!(invalidation_cost(&c, 3, 2, 0.25) < invalidation_cost(&c, 3, 2, 1.0));
-        assert_eq!(
-            invalidation_cost(&c, 0, 2, 1.0),
-            0.0,
-            "serial stages nothing"
-        );
-    }
-
-    #[test]
-    fn overlapping_flushes_accumulate_redo_work() {
-        // two half-flushes with overlapping windows must cost at least
-        // as much as either alone (shares add; they never multiply)
-        let c = costs(1.0, 1.5, 2.0, 2.5);
-        let one = simulate_pipeline_ringed_flushed(
-            &c,
-            40,
-            3,
-            2,
-            &[FlushEvent {
-                at_iter: 15,
-                changed_share: 0.5,
-            }],
-        )
-        .makespan;
-        let two = simulate_pipeline_ringed_flushed(
-            &c,
-            40,
-            3,
-            2,
-            &[
-                FlushEvent {
-                    at_iter: 15,
-                    changed_share: 0.5,
-                },
-                FlushEvent {
-                    at_iter: 16,
-                    changed_share: 0.5,
-                },
-            ],
-        )
-        .makespan;
-        assert!(
-            two >= one - 1e-9,
-            "a second re-map made the epoch cheaper: {two} vs {one}"
-        );
-    }
-
-    #[test]
-    fn flush_gates_at_the_decision_instant() {
-        // every post-event iteration completes at or after the event
-        let c = costs(0.5, 0.5, 1.0, 1.0);
-        let ev = [FlushEvent {
-            at_iter: 5,
-            changed_share: 1.0,
-        }];
-        let run = simulate_pipeline_ringed_flushed(&c, 20, 2, 2, &ev);
-        let decision = run.completions[4];
-        for (i, &t) in run.completions.iter().enumerate().skip(5) {
-            assert!(
-                t >= decision,
-                "iteration {i} finished before the flush event"
-            );
-        }
-        assert!(run.completions.windows(2).all(|w| w[1] >= w[0]));
     }
 
     #[test]

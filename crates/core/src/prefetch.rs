@@ -45,31 +45,41 @@
 //! batch prepared three iterations ahead on a worker thread is
 //! bitwise-identical to one prepared inline, and staging rings only
 //! re-time the round-trip (which is itself deterministic per matrix).
-//! The one hazard is the DRM engine re-balancing `quotas` mid-epoch:
-//! prepared iterations carry the quotas *and the quota epoch* (re-map
-//! generation counter) they were built under, so a straggler from an
-//! outdated plan is rejected at receive time rather than globally
-//! flushed. Invalidation itself is **surgical and coalesced**
-//! ([`IterationFeed::invalidate`]): a burst of `balance_work` events is
-//! folded into one re-slice against the final quotas, which re-slices
-//! only the trainers whose seed slice actually moved — settled
-//! trainers keep their queued batches, pooled matrices, and staging
-//! slots — and drains only the rings *and lane channels* of changed
-//! lanes; a zero-diff re-map (including a burst that cancels out) is a
-//! no-op, and only missed-event recovery pays the full flush
-//! (`drain_all`). `tests/equivalence.rs` and the randomized
-//! DRM-schedule harness in `tests/proptest_invariants.rs` pin weights
-//! bitwise across prefetch depths {0, 1, 2, 4} × ring depths {1, 2} ×
-//! transfer-lane caps {1, 2, 4} including across re-mapping events.
+//! The one hazard is the DRM engine re-balancing `quotas` mid-epoch.
+//! [`IterationFeed::obtain`] handles it with a single mechanism: every
+//! request names the iteration and quotas it needs, and when they differ
+//! from what the live producer generation will deliver next, the feed
+//! shuts that generation down, recycles everything it had queued or in
+//! flight, records one drain on every staging ring, and respawns the
+//! producer at the requested iteration under the new quotas. A
+//! restarted generation has a fresh channel, so nothing prepared under
+//! the old plan can reach the consumer. Equal quotas cost nothing, so a
+//! zero-diff move — or a burst of moves that cancels out before the next
+//! request — needs no special case. `tests/equivalence.rs` and the
+//! randomized DRM-schedule harness in `tests/proptest_invariants.rs` pin
+//! weights bitwise across prefetch depths {0, 1, 2, 4} × ring depths
+//! {1, 2} × transfer-lane caps {1, 2, 4} including across re-mapping
+//! events.
+//!
+//! ## Producer failure
+//!
+//! A producer thread that panics ends its generation early, which closes
+//! the consumer queue. The consumer joins every producer thread it stops
+//! and re-raises the first panic payload on its own thread with
+//! [`std::panic::resume_unwind`], so a crashed stage surfaces as a panic
+//! out of [`IterationFeed::obtain`] (or [`IterationFeed::finish`]) —
+//! never as a silently short epoch.
 //!
 //! ## Allocation discipline
 //!
 //! Feature matrices cycle through a [`MatrixPool`], with ring-aware
-//! reuse on top: a recycled accelerator batch returns its buffer to that
-//! accelerator's [`StagingRing`] free list, so each lane re-gathers into
-//! the buffer it last shipped (lane-local reuse); the shared pool is the
-//! fallback and serves the CPU trainer. Steady-state iterations perform
-//! zero feature-matrix allocations.
+//! reuse on top: every recycle ([`PrepareCtx::recycle`] — after
+//! propagation, and for the items a restart flushes) returns an
+//! accelerator batch's buffer to that accelerator's [`StagingRing`] free
+//! list, so each lane re-gathers into the buffer it last shipped
+//! (lane-local reuse); the shared pool is the fallback and serves the
+//! CPU trainer. Steady-state iterations perform zero feature-matrix
+//! allocations.
 //!
 //! ## Thread budget (DRM `balance_thread`)
 //!
@@ -85,14 +95,14 @@
 //! [`PreparedIteration`] records the [`ThreadAlloc`] it was built under
 //! so traces show the shift land.
 
-use crate::drm::{QuotaDiff, ThreadAlloc};
+use crate::drm::ThreadAlloc;
 use crate::stages::StageWorkers;
 use hyscale_graph::features::gather_features_numa_into;
 use hyscale_graph::Dataset;
 use hyscale_sampler::{EpochBatcher, MiniBatch, NeighborSampler};
 use hyscale_tensor::{Matrix, Precision};
 use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
+use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
@@ -302,7 +312,6 @@ pub struct StagingRing {
     state: Mutex<RingState>,
     cv: Condvar,
     drains: AtomicUsize,
-    channel_drains: AtomicUsize,
 }
 
 #[derive(Default)]
@@ -319,7 +328,6 @@ impl StagingRing {
             state: Mutex::new(RingState::default()),
             cv: Condvar::new(),
             drains: AtomicUsize::new(0),
-            channel_drains: AtomicUsize::new(0),
         }
     }
 
@@ -333,24 +341,10 @@ impl StagingRing {
         self.state.lock().in_flight
     }
 
-    /// Times this ring has been drained by a DRM re-mapping event.
+    /// Times this ring has been drained by a quota-change restart of
+    /// the producer (every restart drains every ring once).
     pub fn drains(&self) -> usize {
         self.drains.load(Ordering::Relaxed)
-    }
-
-    /// Times this lane's bounded transfer *channel* (the gather-stage →
-    /// lane-thread queue) has been **charged** a drain by a DRM
-    /// re-mapping event. Like [`drains`](Self::drains) this is surgical
-    /// accounting: only lanes whose quota share moved record the event.
-    /// Note the charge records *whose data the re-map invalidated*, not
-    /// which channels physically emptied — a re-slice restarts the
-    /// producer generation, so gathered-but-untransferred channel work
-    /// of every lane is recycled and deterministically re-gathered;
-    /// what untouched lanes keep across the re-map is their share of
-    /// the fully-prepared consumer-queue iterations (batch, buffer,
-    /// staging slot — see `reslice_iteration`).
-    pub fn channel_drains(&self) -> usize {
-        self.channel_drains.load(Ordering::Relaxed)
     }
 
     /// Occupy a slot, blocking while the ring is full. Returns `false`
@@ -367,21 +361,6 @@ impl StagingRing {
                 return true;
             }
             self.cv.wait(&mut st);
-        }
-    }
-
-    /// Occupy a slot only if one is free right now — never blocks.
-    /// This is the salvage path's acquire: while the consumer re-slices
-    /// queued iterations there is no producer running to free slots, so
-    /// blocking here could deadlock; a newly-activated lane that cannot
-    /// stage immediately makes the iteration unsalvageable instead.
-    pub fn try_acquire(&self) -> bool {
-        let mut st = self.state.lock();
-        if st.in_flight < self.depth {
-            st.in_flight += 1;
-            true
-        } else {
-            false
         }
     }
 
@@ -405,18 +384,11 @@ impl StagingRing {
         self.state.lock().free.push(m);
     }
 
-    /// Record a DRM drain event (the staged transfers this lane held
-    /// were discarded or re-sliced by a re-mapping that moved this
-    /// lane's share). Buffers stay on the free list — a drain
-    /// invalidates *contents*, not allocations.
+    /// Record a restart drain (the staged transfers this lane held died
+    /// with the producer generation that prepared them). Buffers stay on
+    /// the free list — a drain invalidates *contents*, not allocations.
     fn drain(&self) {
         self.drains.fetch_add(1, Ordering::Relaxed);
-        self.interrupt();
-    }
-
-    /// Record a DRM drain of this lane's transfer channel.
-    fn drain_channel(&self) {
-        self.channel_drains.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Wake any waiter so it can observe a raised stop flag. The notify
@@ -432,7 +404,7 @@ impl StagingRing {
 }
 
 /// The per-accelerator staging rings of one trainer instance (shared by
-/// the producer's transfer stage, the executor, and the DRM drain path).
+/// the producer's transfer stage, the executor, and the restart path).
 pub struct StagingRings {
     rings: Vec<StagingRing>,
     depth: usize,
@@ -473,51 +445,15 @@ impl StagingRings {
         self.rings.iter().map(StagingRing::in_flight).sum()
     }
 
-    /// Total DRM drain events across all rings.
+    /// Total restart drain events across all rings.
     pub fn drains_total(&self) -> usize {
         self.rings.iter().map(StagingRing::drains).sum()
     }
 
-    /// Total DRM lane-channel drain events across all rings.
-    pub fn channel_drains_total(&self) -> usize {
-        self.rings.iter().map(StagingRing::channel_drains).sum()
-    }
-
-    /// Record a full re-map drain on every ring. This survives only for
-    /// `set_mapping`-style full re-maps (and the missed-event recovery
-    /// path): a surgical `balance_work` drains per lane via
-    /// [`drain_lanes`](Self::drain_lanes) instead.
-    pub(crate) fn drain_all(&self) {
+    /// Record one restart drain on every ring.
+    fn drain_all(&self) {
         for r in &self.rings {
             r.drain();
-            r.drain_channel();
-        }
-    }
-
-    /// Record a DRM `balance_work` drain on exactly the lanes whose
-    /// quota share moved (`mask[a]` true). Untouched lanes keep their
-    /// drain count — the pinned "surgical" invariant. The drain covers
-    /// both the lane's staging ring and its transfer channel.
-    pub(crate) fn drain_lanes(&self, mask: &[bool]) {
-        for (r, &changed) in self.rings.iter().zip(mask) {
-            if changed {
-                r.drain();
-                r.drain_channel();
-            }
-        }
-    }
-
-    /// Occupy a slot on ring `a` without blocking; `None` when the ring
-    /// is full. Used by the salvage path when a re-map activates a lane
-    /// that held no slot in the queued iteration.
-    pub fn try_acquire_token(self: &Arc<Self>, a: usize) -> Option<SlotToken> {
-        if self.rings[a].try_acquire() {
-            Some(SlotToken {
-                rings: Arc::clone(self),
-                accel: a,
-            })
-        } else {
-            None
         }
     }
 
@@ -622,6 +558,21 @@ impl PrepareCtx {
         a + usize::from(self.hybrid)
     }
 
+    /// Return feature buffers for reuse — the one ring-aware recycle
+    /// behind every finished or flushed batch: an accelerator trainer's
+    /// buffer goes to its lane's staging-ring free list, the CPU
+    /// trainer's to the shared `pool`.
+    pub fn recycle(&self, features: Vec<Option<Matrix>>, pool: &MatrixPool) {
+        for (idx, m) in features.into_iter().enumerate() {
+            if let Some(m) = m {
+                match self.accel_of(idx) {
+                    Some(a) => self.rings.ring(a).put_buffer(m),
+                    None => pool.release(m),
+                }
+            }
+        }
+    }
+
     /// Concurrent transfer lanes a full round of accelerator round-trips
     /// can achieve right now: one lane per ring, capped by the live
     /// transfer-gate budget.
@@ -640,16 +591,8 @@ impl PrepareCtx {
 pub struct PreparedIteration {
     /// Iteration index within the epoch.
     pub iter: usize,
-    /// The per-trainer seed quotas this iteration was prepared under —
-    /// the consumer validates these against the live workload split.
+    /// The per-trainer seed quotas this iteration was prepared under.
     pub quotas: Vec<usize>,
-    /// The quota epoch (re-map generation counter) this iteration was
-    /// sliced under. [`IterationFeed`] bumps its counter on every
-    /// re-map, so a batch prepared under an outdated plan is rejected
-    /// at receive time by a counter compare — no global flush needed to
-    /// defend against stragglers. Serial (inline) preparation always
-    /// stamps 0.
-    pub quota_epoch: u64,
     /// Per-trainer seed sets (empty for idle trainers).
     pub seed_sets: Vec<Vec<u32>>,
     /// Per-trainer sampled mini-batches (`None` for idle trainers).
@@ -691,16 +634,6 @@ pub struct PreparedIteration {
     pub threads: ThreadAlloc,
 }
 
-impl PreparedIteration {
-    /// Return every pooled buffer for reuse and free the staging slots.
-    pub fn recycle(self, pool: &MatrixPool) {
-        for m in self.features.into_iter().flatten() {
-            pool.release(m);
-        }
-        // self.slots dropped here: slot tokens release their rings
-    }
-}
-
 /// Output of the producer's gather stage: a sampled iteration whose
 /// feature matrices have not yet made the wire round-trip.
 struct StagedIteration {
@@ -712,14 +645,6 @@ struct StagedIteration {
     sample_wall_s: f64,
     load_wall_s: f64,
     threads: ThreadAlloc,
-}
-
-impl StagedIteration {
-    fn recycle(self, pool: &MatrixPool) {
-        for m in self.features.into_iter().flatten() {
-            pool.release(m);
-        }
-    }
 }
 
 /// Gather stage: slice seeds under `quotas`, sample one mini-batch per
@@ -874,12 +799,6 @@ struct StagedSkeleton {
     lanes: Vec<usize>,
 }
 
-impl StagedSkeleton {
-    fn recycle(self, pool: &MatrixPool) {
-        self.staged.recycle(pool);
-    }
-}
-
 /// Transfer stage, inline serial variant: round-trip every
 /// accelerator-bound matrix at the wire precision (identity at F32; the
 /// §VIII quantization extension) back to back on the caller thread,
@@ -932,7 +851,6 @@ fn apply_transfer(
     PreparedIteration {
         iter,
         quotas,
-        quota_epoch: 0,
         seed_sets,
         batches,
         features,
@@ -969,206 +887,6 @@ pub fn prepare_iteration(
     Some(apply_transfer(ctx, staged, Vec::new()))
 }
 
-/// Per-trainer batch accounting of one `reslice_iteration` call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResliceOutcome {
-    /// Batches whose trainer's seed slice (and sampler stream) did not
-    /// move: kept verbatim — sampled mini-batch, gathered features,
-    /// wire round-trip, and staging slot all survive.
-    pub salvaged: usize,
-    /// Batches discarded and (where the trainer stays active) redone
-    /// under the new slicing.
-    pub flushed: usize,
-}
-
-/// Re-map one queued iteration in place from the quotas it was sliced
-/// under to `new_quotas` — the surgical core of DRM invalidation.
-///
-/// Trainers whose seed slice is byte-identical under the new quotas
-/// *and* whose sampler stream rank (index among non-empty trainers) is
-/// unchanged keep everything: sampled mini-batch, gathered feature
-/// matrix, completed wire round-trip, staging slot. Every other trainer
-/// is re-sliced: its old batch is dropped, its buffer reused, and its
-/// mini-batch re-sampled / re-gathered / re-round-tripped under exactly
-/// the streams a from-scratch producer would use — so the result is
-/// bitwise-identical to serial preparation under `new_quotas`.
-///
-/// Returns `None` (leaving the iteration unusable — the caller recycles
-/// it) when the iteration does not exist under the new plan, the
-/// trainer topology changed, or a newly-activated lane's staging ring
-/// has no free slot (the salvage path never blocks on a slot: no
-/// producer is running to free one).
-fn reslice_iteration(
-    ctx: &PrepareCtx,
-    order: &[u32],
-    epoch: u64,
-    prep: &mut PreparedIteration,
-    new_quotas: &[usize],
-    pool: &MatrixPool,
-) -> Option<ResliceOutcome> {
-    let (plan_iter, new_seed_sets) = ctx.batcher.plan(order, prep.iter, new_quotas).next()?;
-    debug_assert_eq!(plan_iter, prep.iter);
-    if new_seed_sets.len() != prep.seed_sets.len() {
-        return None; // trainer topology changed: nothing is salvageable
-    }
-    let n = new_seed_sets.len();
-    // Sampler streams are assigned by rank among the iteration's
-    // non-empty trainers, so a trainer is only salvageable if its rank
-    // is stable too (a preceding trainer going empty/non-empty shifts
-    // every later stream).
-    let rank = |sets: &[Vec<u32>], t: usize| sets[..t].iter().filter(|s| !s.is_empty()).count();
-    let keep: Vec<bool> = (0..n)
-        .map(|t| {
-            prep.seed_sets[t] == new_seed_sets[t]
-                && rank(&prep.seed_sets, t) == rank(&new_seed_sets, t)
-        })
-        .collect();
-
-    // --- Staging slots first (the only fallible step): keep tokens on
-    // lanes that stay active, drop tokens on deactivated lanes, and
-    // take a slot non-blockingly for newly-activated lanes.
-    let mut held: Vec<Option<SlotToken>> = (0..ctx.rings.num_rings()).map(|_| None).collect();
-    for tok in prep.slots.drain(..) {
-        let a = tok.accel();
-        held[a] = Some(tok);
-    }
-    let mut slots = Vec::new();
-    for (t, seeds) in new_seed_sets.iter().enumerate() {
-        if seeds.is_empty() {
-            continue;
-        }
-        if let Some(a) = ctx.accel_of(t) {
-            match held[a].take().or_else(|| ctx.rings.try_acquire_token(a)) {
-                Some(tok) => slots.push(tok),
-                None => return None, // lane full — unsalvageable without blocking
-            }
-        }
-    }
-    drop(held); // deactivated lanes' tokens release their slots here
-    prep.slots = slots;
-
-    // --- Per-trainer triage: count salvage, release changed trainers'
-    // batches, and collect the ones that need rebuilding.
-    let mut outcome = ResliceOutcome::default();
-    let mut rebuild: Vec<usize> = Vec::new();
-    for t in 0..n {
-        if keep[t] {
-            outcome.salvaged += usize::from(prep.batches[t].is_some());
-            continue;
-        }
-        outcome.flushed += usize::from(prep.batches[t].is_some());
-        prep.batches[t] = None;
-        if new_seed_sets[t].is_empty() {
-            // trainer deactivated: its buffer goes back for reuse, and
-            // its lane's transfer accounting is cleared
-            if let Some(m) = prep.features[t].take() {
-                match ctx.accel_of(t) {
-                    Some(a) => ctx.rings.ring(a).put_buffer(m),
-                    None => pool.release(m),
-                }
-            }
-            if let Some(a) = ctx.accel_of(t) {
-                if let Some(w) = prep.lane_transfer_walls.get_mut(a) {
-                    *w = 0.0;
-                }
-                if let Some(s) = prep.lane_transfer_spans.get_mut(a) {
-                    *s = None;
-                }
-            }
-        } else {
-            rebuild.push(t);
-        }
-    }
-
-    // --- Re-sample the rebuilt trainers under the producer's stream
-    // derivation: (epoch, iter) base plus the trainer's non-empty rank.
-    let stream_base = epoch.wrapping_mul(1 << 20) + prep.iter as u64 * 64;
-    let sample_start = Instant::now();
-    let resampled: Vec<MiniBatch> = ctx.workers.sampler().install(|| {
-        rebuild
-            .iter()
-            .map(|&t| {
-                let stream = stream_base.wrapping_add(rank(&new_seed_sets, t) as u64 + 1);
-                ctx.sampler
-                    .sample(&ctx.dataset.graph, &new_seed_sets[t], stream)
-            })
-            .collect()
-    });
-    prep.sample_wall_s += sample_start.elapsed().as_secs_f64();
-
-    // --- Re-gather, reusing each trainer's existing buffer (then the
-    // lane free list, then the shared pool), fanned out over loader
-    // lanes exactly like the producer's gather stage.
-    let load_start = Instant::now();
-    let bufs: Vec<Mutex<Option<Matrix>>> = rebuild
-        .iter()
-        .map(|&t| {
-            Mutex::new(Some(
-                prep.features[t]
-                    .take()
-                    .or_else(|| {
-                        ctx.accel_of(t)
-                            .and_then(|a| ctx.rings.ring(a).take_buffer())
-                    })
-                    .unwrap_or_else(|| pool.acquire()),
-            ))
-        })
-        .collect();
-    let gathered: Mutex<Vec<(usize, Matrix)>> = Mutex::new(Vec::with_capacity(rebuild.len()));
-    ctx.workers.loader().fan_out(rebuild.len(), |k, lane| {
-        let mut x = bufs[k].lock().take().expect("buffer taken once per item");
-        gather_features_numa_into(
-            &mut x,
-            &ctx.dataset.data.features,
-            &resampled[k].input_nodes,
-            ctx.numa_domains,
-            lane,
-        );
-        gathered.lock().push((rebuild[k], x));
-    });
-    prep.load_wall_s += load_start.elapsed().as_secs_f64();
-
-    // --- Wire round-trip for the rebuilt accelerator batches: each
-    // rebuilt lane's wall and span *replace* that lane's originals (the
-    // lane's batch was replaced outright); salvaged lanes keep theirs.
-    let span_start = ctx.origin.elapsed().as_secs_f64();
-    let mut any_transfer = false;
-    for (t, mut x) in gathered.into_inner() {
-        if let Some(a) = ctx.accel_of(t) {
-            let lane_start = ctx.origin.elapsed().as_secs_f64();
-            let wall_start = Instant::now();
-            ctx.workers
-                .loader()
-                .install(|| ctx.precision.round_trip_in_place(&mut x));
-            if let Some(w) = prep.lane_transfer_walls.get_mut(a) {
-                *w = wall_start.elapsed().as_secs_f64();
-            }
-            if let Some(s) = prep.lane_transfer_spans.get_mut(a) {
-                *s = Some((lane_start, ctx.origin.elapsed().as_secs_f64()));
-            }
-            any_transfer = true;
-        }
-        prep.features[t] = Some(x);
-    }
-    // aggregate stays the sum over lanes (salvaged + redone)
-    prep.transfer_wall_s = prep.lane_transfer_walls.iter().sum();
-    if any_transfer {
-        // The redo replaces the span outright: widening it over the
-        // original transfer would span the queue-sit gap in between and
-        // over-credit hidden-transfer overlap. Dropping the original
-        // span under-reports the (already-hidden) old round-trip — the
-        // conservative direction for an overlap metric.
-        prep.transfer_span = (span_start, ctx.origin.elapsed().as_secs_f64());
-    }
-    for (&t, mb) in rebuild.iter().zip(resampled) {
-        prep.batches[t] = Some(mb);
-    }
-
-    prep.seed_sets = new_seed_sets;
-    prep.quotas = new_quotas.to_vec();
-    Some(outcome)
-}
-
 /// Handle to one background producer run (one contiguous span of
 /// iterations under fixed quotas): a gather thread feeding one transfer
 /// *lane* per accelerator (each lane owns its staging ring and a
@@ -1179,8 +897,8 @@ fn reslice_iteration(
 struct Prefetcher {
     rx: Receiver<PreparedIteration>,
     stop: Arc<AtomicBool>,
-    rings: Arc<StagingRings>,
-    gate: Arc<TransferLaneGate>,
+    ctx: Arc<PrepareCtx>,
+    pool: Arc<MatrixPool>,
     /// Prepared iterations currently sitting in the consumer queue
     /// (incremented by the assembler on send, decremented on receive) —
     /// lets tests and benches wait for the queue to fill
@@ -1190,9 +908,8 @@ struct Prefetcher {
 }
 
 impl Prefetcher {
-    /// Spawn a producer covering `start_iter..end_iter` under `quotas`
-    /// (stamping `quota_epoch` on every item), buffering at most
-    /// `depth` prepared iterations per stage boundary.
+    /// Spawn a producer covering `start_iter..end_iter` under `quotas`,
+    /// buffering at most `depth` prepared iterations per stage boundary.
     #[allow(clippy::too_many_arguments)]
     fn spawn(
         ctx: Arc<PrepareCtx>,
@@ -1201,7 +918,6 @@ impl Prefetcher {
         start_iter: usize,
         end_iter: usize,
         quotas: Vec<usize>,
-        quota_epoch: u64,
         depth: usize,
         pool: Arc<MatrixPool>,
     ) -> Self {
@@ -1211,8 +927,6 @@ impl Prefetcher {
         let (ready_tx, rx) = sync_channel::<PreparedIteration>(cap);
         let stop = Arc::new(AtomicBool::new(false));
         let ready = Arc::new(AtomicUsize::new(0));
-        let rings = Arc::clone(&ctx.rings);
-        let gate = Arc::clone(&ctx.transfer_gate);
         let mut handles = Vec::with_capacity(2 + num_rings);
 
         // Per-lane channels: gather → lane (bounded work) and lane →
@@ -1335,7 +1049,7 @@ impl Prefetcher {
                                         .take()
                                         .expect("gathered accelerator feature matrix");
                                     if work_txs[a].send(LaneWork { accel: a, x }).is_err() {
-                                        staged.recycle(&pool);
+                                        ctx.recycle(staged.features, &pool);
                                         break 'epoch;
                                     }
                                     lanes.push(a);
@@ -1363,7 +1077,7 @@ impl Prefetcher {
                 .spawn(move || {
                     'assemble: while let Ok(skeleton) = skel_rx.recv() {
                         if stop.load(Ordering::Acquire) {
-                            skeleton.recycle(&pool);
+                            ctx.recycle(skeleton.staged.features, &pool);
                             break;
                         }
                         let StagedSkeleton { staged, lanes } = skeleton;
@@ -1387,7 +1101,7 @@ impl Prefetcher {
                             for (_, d) in dones {
                                 d.recycle(&ctx.rings);
                             }
-                            staged.recycle(&pool);
+                            ctx.recycle(staged.features, &pool);
                             break 'assemble;
                         }
                         let StagedIteration {
@@ -1422,7 +1136,6 @@ impl Prefetcher {
                         let prep = PreparedIteration {
                             iter,
                             quotas,
-                            quota_epoch,
                             seed_sets,
                             batches,
                             features,
@@ -1439,13 +1152,11 @@ impl Prefetcher {
                         // Count the item *before* committing it to the
                         // channel: a consumer receiving it concurrently
                         // must never observe its decrement before this
-                        // increment (underflow), and `shutdown_collect`
-                        // relies on the counter never under-reporting a
-                        // committed item.
+                        // increment (underflow).
                         ready.fetch_add(1, Ordering::Release);
                         if let Err(rejected) = ready_tx.send(prep) {
                             ready.fetch_sub(1, Ordering::Release);
-                            rejected.0.recycle(&pool);
+                            ctx.recycle(rejected.0.features, &pool);
                             break;
                         }
                     }
@@ -1463,7 +1174,7 @@ impl Prefetcher {
                     // parked in `done_tx.send`, and the lanes' own drain
                     // loops recycle the rest.
                     while let Ok(skeleton) = skel_rx.recv() {
-                        skeleton.recycle(&pool);
+                        ctx.recycle(skeleton.staged.features, &pool);
                     }
                 })
                 .expect("spawn prefetch assembler stage")
@@ -1473,20 +1184,27 @@ impl Prefetcher {
         Self {
             rx,
             stop,
-            rings,
-            gate,
+            ctx,
+            pool,
             ready,
             handles,
         }
     }
 
-    /// Blocking receive; `None` when the producer finished the epoch.
-    fn recv(&self) -> Option<PreparedIteration> {
-        let prep = self.rx.recv().ok();
-        if prep.is_some() {
-            self.ready.fetch_sub(1, Ordering::AcqRel);
+    /// Blocking receive; `None` once the producer has finished the
+    /// epoch. A producer that stopped because one of its threads
+    /// panicked closes the queue early: the panic is re-raised here.
+    fn recv(&mut self) -> Option<PreparedIteration> {
+        match self.rx.recv() {
+            Ok(prep) => {
+                self.ready.fetch_sub(1, Ordering::AcqRel);
+                Some(prep)
+            }
+            Err(_) => {
+                self.join();
+                None
+            }
         }
-        prep
     }
 
     /// Prepared iterations currently buffered in the consumer queue.
@@ -1494,80 +1212,60 @@ impl Prefetcher {
         self.ready.load(Ordering::Acquire)
     }
 
-    /// Stop the producer, returning the contiguous run of fully-prepared
-    /// iterations that were buffered in the consumer queue (front
-    /// first) so the caller can salvage them. Partially-prepared work
-    /// (gather-stage buffers, an in-flight transfer) is recycled by the
-    /// producer threads themselves before they exit.
-    fn shutdown_collect(mut self) -> Vec<PreparedIteration> {
-        self.stop.store(true, Ordering::Release);
-        // Wake transfer lanes blocked on a full staging ring or on the
-        // lane-concurrency gate so they can observe `stop` and bail out.
-        self.rings.interrupt_all();
-        self.gate.interrupt();
-        // Drain whatever is buffered so a producer blocked on a full
-        // channel can complete its send, observe `stop`, and exit. The
-        // collected items keep their buffers and staging slots. The
-        // `ready` counter is incremented before each send, so spin past
-        // the (microseconds-wide) window where an item is committed but
-        // not yet visible to `try_recv` — otherwise a race would
-        // silently flush a salvageable iteration. Termination: with
-        // `stop` raised the transfer stage sends at most the one item
-        // already counted, and if it dies the channel disconnects.
-        let mut collected = Vec::new();
-        loop {
-            match self.rx.try_recv() {
-                Ok(prep) => {
-                    self.ready.fetch_sub(1, Ordering::AcqRel);
-                    collected.push(prep);
-                }
-                Err(std::sync::mpsc::TryRecvError::Empty) => {
-                    if self.ready.load(Ordering::Acquire) == 0 {
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => break,
-            }
+    /// Stop the producer, recycle every queued and in-flight item, and
+    /// join its threads. Returns the number of per-trainer batches the
+    /// queue held (prepared work thrown away).
+    fn shutdown(mut self) -> usize {
+        self.halt();
+        // Receive until the queue disconnects: a stage blocked on a full
+        // channel completes its send and then observes `stop`, and every
+        // stage recycles what it still holds before exiting, so each
+        // buffer returns through the ring-aware recycle. Bounded: at most
+        // one in-flight iteration per stage — the same work the consumer
+        // would do inline anyway before it can proceed.
+        let mut flushed = 0;
+        while let Ok(prep) = self.rx.recv() {
+            flushed += prep.batches.iter().flatten().count();
+            self.ctx.recycle(prep.features, &self.pool);
         }
-        // Close the channel: any in-flight send now errors out (the
-        // producer recycles the rejected iteration's buffers itself).
-        drop(self.rx);
-        for h in self.handles.drain(..) {
-            // Bounded wait: at most one in-flight iteration per stage —
-            // the same work the consumer would do inline anyway before
-            // it can proceed under the new quotas.
-            let _ = h.join();
-        }
-        collected
+        self.join();
+        flushed
     }
 
-    /// Stop the producer, recycling every buffered iteration and freeing
-    /// their staging slots.
-    fn shutdown(self, pool: &MatrixPool) {
-        for prep in self.shutdown_collect() {
-            prep.recycle(pool);
+    /// Raise `stop` and wake transfer lanes blocked on a full staging
+    /// ring or on the lane-concurrency gate so they observe it and bail
+    /// out.
+    fn halt(&self) {
+        self.stop.store(true, Ordering::Release);
+        self.ctx.rings.interrupt_all();
+        self.ctx.transfer_gate.interrupt();
+    }
+
+    /// Halt and join every producer thread, re-raising the first panic
+    /// on this thread. Idempotent: a second call finds no handles left.
+    fn join(&mut self) {
+        self.halt();
+        let mut panic: Option<Box<dyn Any + Send>> = None;
+        for h in self.handles.drain(..) {
+            if let Err(payload) = h.join() {
+                panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
         }
     }
 }
 
 /// The executor's iteration source: serial preparation at `depth = 0`,
-/// a background producer pipeline otherwise. When the consumer's quotas
-/// change (DRM re-mapping) the invalidation is *surgical*: queued
-/// iterations are re-sliced per trainer (`reslice_iteration`) so
-/// settled trainers keep their prepared batches, and only the staging
-/// rings — and transfer lane channels — of lanes whose share moved are
-/// drained. A zero-diff re-map is a no-op; only missed-event recovery
-/// (a stale batch actually reaching the consumer) still pays the full
-/// flush.
+/// a background producer pipeline otherwise.
 ///
-/// Re-maps are additionally **coalesced**: [`invalidate`](Self::invalidate)
-/// only *records* the target quotas, and the re-slice runs once, at the
-/// next [`obtain`](Self::obtain), against the final quotas — so a burst
-/// of `balance_work` events between two iterations diffs oldest-kept
-/// vs. newest and re-slices each trainer at most once (two moves of the
-/// same trainer pay one re-slice; a burst that cancels out pays
-/// nothing).
+/// A DRM `balance_work` move needs no call into the feed: the consumer
+/// simply asks [`obtain`](Self::obtain) for the next iteration under
+/// the live split's quotas. When the request differs from what the live
+/// producer generation will deliver next, the feed restarts it — one
+/// mechanism for every re-map, however many moves landed since the
+/// previous request. Equal quotas cost nothing.
 pub struct IterationFeed {
     ctx: Arc<PrepareCtx>,
     order: Arc<Vec<u32>>,
@@ -1576,24 +1274,13 @@ pub struct IterationFeed {
     depth: usize,
     pool: Arc<MatrixPool>,
     pipeline: Option<Prefetcher>,
-    /// Iterations salvaged across the last re-map, served before the
-    /// restarted producer's output (they cover the iterations just
-    /// after the re-map point).
-    salvaged: VecDeque<PreparedIteration>,
+    /// The iteration the live producer generation delivers next.
+    next_iter: usize,
     /// The quotas the live producer generation is slicing under.
     quotas: Vec<usize>,
-    /// A recorded-but-unapplied `balance_work` re-map `(next_iter,
-    /// final quotas)`: bursts of events overwrite it in place and the
-    /// single re-slice runs at the next `obtain`.
-    pending_remap: Option<(usize, Vec<usize>)>,
-    /// Re-map generation counter; stamped on every produced batch so
-    /// stragglers are rejected by a counter compare at receive time.
-    quota_epoch: u64,
     restarts: usize,
-    remaps_coalesced: usize,
-    batches_salvaged: usize,
     batches_flushed: usize,
-    invalidation_wall_s: f64,
+    restart_wall_s: f64,
 }
 
 impl IterationFeed {
@@ -1617,197 +1304,87 @@ impl IterationFeed {
             depth,
             pool,
             pipeline: None,
-            salvaged: VecDeque::new(),
+            next_iter: 0,
             quotas: initial_quotas,
-            pending_remap: None,
-            quota_epoch: 0,
             restarts: 0,
-            remaps_coalesced: 0,
-            batches_salvaged: 0,
             batches_flushed: 0,
-            invalidation_wall_s: 0.0,
+            restart_wall_s: 0.0,
         };
         if depth > 0 {
-            feed.pipeline = Some(feed.spawn_at(0));
+            feed.pipeline = Some(feed.spawn());
         }
         feed
     }
 
-    fn spawn_at(&self, start_iter: usize) -> Prefetcher {
+    /// Spawn a producer generation at `(next_iter, quotas)`.
+    fn spawn(&self) -> Prefetcher {
         Prefetcher::spawn(
             Arc::clone(&self.ctx),
             Arc::clone(&self.order),
             self.epoch,
-            start_iter,
+            self.next_iter,
             self.end_iter,
             self.quotas.clone(),
-            self.quota_epoch,
             self.depth,
             Arc::clone(&self.pool),
         )
     }
 
-    /// Discard a prepared iteration: count its batches as flushed and
-    /// recycle its buffers/slots. The single accounting point behind
-    /// `salvage_stats` — every flush path (stale recovery, unsalvageable
-    /// re-slice, full restart) goes through here.
-    fn flush_item(&mut self, prep: PreparedIteration) {
-        self.batches_flushed += prep.batches.iter().flatten().count();
-        prep.recycle(&self.pool);
-    }
-
     /// Obtain iteration `iter` prepared under exactly `quotas`.
     /// Returns `None` once the epoch's seeds are exhausted.
     ///
-    /// Any re-maps recorded by [`invalidate`](Self::invalidate) since
-    /// the last call are applied first, as a single coalesced re-slice.
+    /// A request the live producer generation would not serve next (new
+    /// quotas after a DRM move, or a different iteration) restarts it
+    /// first: the generation is shut down, every queued and in-flight
+    /// item is recycled, every staging ring records one drain, and a
+    /// fresh generation is spawned at `iter` under `quotas`.
+    ///
+    /// # Panics
+    /// Re-raises the panic of a producer thread that crashed.
     pub fn obtain(&mut self, iter: usize, quotas: &[usize]) -> Option<PreparedIteration> {
         if self.depth == 0 {
             return prepare_iteration(&self.ctx, &self.order, self.epoch, iter, quotas, &self.pool);
         }
-        self.apply_pending_remap();
-        // Salvaged survivors of the last re-map are served first.
-        if let Some(front) = self.salvaged.front() {
-            if front.iter == iter && front.quotas == quotas {
-                return self.salvaged.pop_front();
-            }
-            // The consumer asked for something the salvage doesn't
-            // cover (out-of-band re-map): flush the survivors and fall
-            // through to a full restart below.
-            while let Some(prep) = self.salvaged.pop_front() {
-                self.flush_item(prep);
-            }
-            self.restart(iter, quotas.to_vec());
+        if iter != self.next_iter || quotas != self.quotas {
+            self.restart(iter, quotas);
         }
-        loop {
-            let prep = self.pipeline.as_ref().expect("pipeline alive").recv();
-            match prep {
-                Some(prep)
-                    if prep.quota_epoch == self.quota_epoch
-                        && prep.iter == iter
-                        && prep.quotas == quotas =>
-                {
-                    return Some(prep)
-                }
-                Some(stale) => {
-                    // Produced under an outdated plan (missed DRM event or
-                    // an out-of-band `set_mapping`): full flush and redo —
-                    // the `drain_all` path survives exactly for this.
-                    self.flush_item(stale);
-                    self.restart(iter, quotas.to_vec());
-                }
-                None => return None,
-            }
-        }
+        let prep = self.pipeline.as_mut().expect("producer alive").recv()?;
+        debug_assert!(prep.iter == iter && prep.quotas == quotas);
+        self.next_iter = iter + 1;
+        Some(prep)
     }
 
-    /// Record a DRM `balance_work` re-mapping: the producer will serve
-    /// iteration `next_iter` onward under `quotas`. The re-map is
-    /// **deferred and coalesced** — nothing is drained here; the
-    /// surgical re-slice runs once, at the next
-    /// [`obtain`](Self::obtain), against the *final* quotas of whatever
-    /// burst of events accumulated. Its semantics there:
-    ///
-    /// * a **zero-diff** outcome (final quotas equal the live
-    ///   generation's — including a burst that cancels itself out) is a
-    ///   complete no-op: no drain, no restart, nothing flushed;
-    /// * otherwise queued iterations are re-sliced per trainer against
-    ///   the oldest-kept → newest quota diff: settled trainers keep
-    ///   their batches, buffers, and staging slots
-    ///   (`reslice_iteration`), and only the *changed* lanes record a
-    ///   ring drain and a lane-channel drain;
-    /// * the producer restarts after the salvaged run, under the new
-    ///   quotas and a bumped quota epoch (stragglers from the old
-    ///   generation are rejected at receive time by the epoch stamp).
-    pub fn invalidate(&mut self, next_iter: usize, quotas: Vec<usize>) {
-        if self.depth == 0 {
-            // serial feeds prepare inline: nothing is speculative, the
-            // quotas just take effect on the next inline preparation
-            self.quotas = quotas;
-            return;
-        }
-        if let Some((pending_iter, pending)) = self.pending_remap.take() {
-            // burst: coalesce into one re-slice against the final quotas
-            if pending != quotas {
-                self.remaps_coalesced += 1;
-            }
-            self.pending_remap = Some((pending_iter.min(next_iter), quotas));
-        } else {
-            self.pending_remap = Some((next_iter, quotas));
-        }
-    }
-
-    /// Run the single coalesced re-slice a burst of
-    /// [`invalidate`](Self::invalidate) calls recorded, if any.
-    fn apply_pending_remap(&mut self) {
-        let Some((next_iter, quotas)) = self.pending_remap.take() else {
-            return;
-        };
-        if quotas == self.quotas {
-            return; // zero-diff balance_work: nothing moved, nothing to pay
-        }
-        let diff = QuotaDiff::between(&self.quotas, &quotas);
-        self.quotas = quotas;
+    /// Shut the live generation down, count the restart and one drain
+    /// on every ring, and respawn at `(iter, quotas)`.
+    fn restart(&mut self, iter: usize, quotas: &[usize]) {
         let t0 = Instant::now();
-        self.quota_epoch += 1;
-        // Stop the old generation, keeping its queued iterations, and
-        // fold in any survivors of a previous re-map still unserved.
-        let queued = match self.pipeline.take() {
-            Some(p) => p.shutdown_collect(),
-            None => Vec::new(),
-        };
-        let pending: Vec<PreparedIteration> = self.salvaged.drain(..).chain(queued).collect();
-        // Re-slice the contiguous run starting at `next_iter`; the
-        // first unsalvageable item (and everything after it) is flushed.
-        let mut expected = next_iter;
-        let mut broken = false;
-        for mut prep in pending {
-            if !broken && prep.iter == expected {
-                match reslice_iteration(
-                    &self.ctx,
-                    &self.order,
-                    self.epoch,
-                    &mut prep,
-                    &self.quotas,
-                    &self.pool,
-                ) {
-                    Some(out) => {
-                        self.batches_salvaged += out.salvaged;
-                        self.batches_flushed += out.flushed;
-                        prep.quota_epoch = self.quota_epoch;
-                        self.salvaged.push_back(prep);
-                        expected += 1;
-                        continue;
-                    }
-                    None => broken = true,
-                }
-            } else {
-                broken = true;
-            }
-            self.flush_item(prep);
+        if let Some(p) = self.pipeline.take() {
+            self.batches_flushed += p.shutdown();
         }
-        // Only the lanes whose slice moved record the drain events —
-        // staging ring and transfer channel both, per changed lane.
-        self.ctx
-            .rings
-            .drain_lanes(&diff.changed_lanes(self.ctx.hybrid, self.ctx.rings.num_rings()));
+        self.ctx.rings.drain_all();
         self.restarts += 1;
-        self.pipeline = Some(self.spawn_at(expected));
-        self.invalidation_wall_s += t0.elapsed().as_secs_f64();
+        self.next_iter = iter;
+        self.quotas = quotas.to_vec();
+        self.pipeline = Some(self.spawn());
+        self.restart_wall_s += t0.elapsed().as_secs_f64();
+    }
+
+    /// Return a finished iteration's buffers through the ring-aware
+    /// [`PrepareCtx::recycle`]; its staging slots free as it drops.
+    pub fn recycle(&self, prep: PreparedIteration) {
+        self.ctx.recycle(prep.features, &self.pool);
     }
 
     /// Apply a DRM `balance_thread` re-allocation: re-size the shared
     /// worker pools — and, in auto mode, the transfer-lane concurrency
     /// cap — so the producer's next dispatch runs at the new widths.
-    /// Unlike [`invalidate`](Self::invalidate) this is an immediate
-    /// cross-thread atomic store, not a message through the queue — it
-    /// is unordered with respect to in-flight iterations and
-    /// deliberately drains nothing: not the queue, not the staging
-    /// rings, not the lane channels. Pool widths and lane concurrency
-    /// change wall-clock, never bytes, so already-prepared iterations
-    /// and in-flight transfers remain valid (`tests/equivalence.rs` and
-    /// the multi-lane matrix in `tests/proptest_invariants.rs` pin this
-    /// bitwise).
+    /// This is an immediate cross-thread atomic store, not a message
+    /// through the queue — it is unordered with respect to in-flight
+    /// iterations and deliberately restarts nothing. Pool widths and
+    /// lane concurrency change wall-clock, never bytes, so
+    /// already-prepared iterations and in-flight transfers remain valid
+    /// (`tests/equivalence.rs` and the multi-lane matrix in
+    /// `tests/proptest_invariants.rs` pin this bitwise).
     pub fn rebalance_threads(&self, alloc: &ThreadAlloc) {
         self.ctx.workers.apply(alloc);
         self.ctx.transfer_gate.on_thread_alloc(alloc);
@@ -1825,13 +1402,6 @@ impl IterationFeed {
         &self.ctx.transfer_gate
     }
 
-    /// `balance_work` bursts folded into an already-pending re-map (each
-    /// counted event re-sliced nothing on its own — the final quotas
-    /// paid one re-slice for the whole burst).
-    pub fn remaps_coalesced(&self) -> usize {
-        self.remaps_coalesced
-    }
-
     /// The live worker pools this feed's producer dispatches on.
     pub fn workers(&self) -> &StageWorkers {
         &self.ctx.workers
@@ -1843,64 +1413,36 @@ impl IterationFeed {
         &self.ctx.rings
     }
 
-    /// Full flush and restart — the `set_mapping`-style re-map: every
-    /// queued batch is discarded and **every** ring records a drain.
-    /// Reached only from the missed-event recovery path in
-    /// [`obtain`](Self::obtain); ordinary `balance_work` moves go
-    /// through the surgical [`invalidate`](Self::invalidate).
-    fn restart(&mut self, start_iter: usize, quotas: Vec<usize>) {
-        self.quotas = quotas;
-        self.quota_epoch += 1;
-        if let Some(p) = self.pipeline.take() {
-            for prep in p.shutdown_collect() {
-                self.flush_item(prep);
-            }
-        }
-        // Count the drain on every ring: the staged wire transfers died
-        // with the producer generation that prepared them.
-        self.ctx.rings.drain_all();
-        self.restarts += 1;
-        self.pipeline = Some(self.spawn_at(start_iter));
-    }
-
-    /// Number of producer restarts this epoch (DRM invalidations).
+    /// Number of producer restarts this epoch (quota changes).
     pub fn restarts(&self) -> usize {
         self.restarts
     }
 
-    /// Cumulative `(salvaged, flushed)` per-trainer batch counts across
-    /// this epoch's re-mapping events: `salvaged` batches survived a
-    /// `balance_work` move untouched, `flushed` were discarded (and,
-    /// for still-active trainers, redone). Zero-diff re-maps contribute
-    /// to neither.
-    pub fn salvage_stats(&self) -> (usize, usize) {
-        (self.batches_salvaged, self.batches_flushed)
+    /// Per-trainer batches that were fully prepared and queued when a
+    /// restart threw them away, cumulative over this epoch.
+    pub fn batches_flushed(&self) -> usize {
+        self.batches_flushed
     }
 
-    /// Wall-clock seconds this feed has spent inside re-mapping events
-    /// (producer shutdown + per-trainer re-slice + restart).
-    pub fn invalidation_wall_s(&self) -> f64 {
-        self.invalidation_wall_s
+    /// Wall-clock seconds this feed has spent restarting the producer
+    /// (shutdown, recycle, respawn).
+    pub fn restart_wall_s(&self) -> f64 {
+        self.restart_wall_s
     }
 
     /// Fully-prepared iterations currently buffered ahead of the
-    /// consumer (salvaged survivors plus the producer queue).
+    /// consumer.
     pub fn buffered(&self) -> usize {
-        self.salvaged.len() + self.pipeline.as_ref().map_or(0, Prefetcher::buffered)
+        self.pipeline.as_ref().map_or(0, Prefetcher::buffered)
     }
 
-    /// Tear down the producer, recycling buffered iterations. A re-map
-    /// still pending (recorded after the epoch's last `obtain`) is
-    /// dropped unapplied — there is no speculative work left for it to
-    /// invalidate, and the next epoch's feed starts from the live
-    /// split's quotas anyway.
+    /// Tear down the producer, recycling everything it still holds.
+    ///
+    /// # Panics
+    /// Re-raises the panic of a producer thread that crashed.
     pub fn finish(mut self) {
-        self.pending_remap = None;
-        for prep in self.salvaged.drain(..) {
-            prep.recycle(&self.pool);
-        }
         if let Some(p) = self.pipeline.take() {
-            p.shutdown(&self.pool);
+            p.shutdown();
         }
     }
 }
@@ -1911,6 +1453,10 @@ mod tests {
     use hyscale_tensor::init::randn;
 
     fn ctx_with_rings(ring_depth: usize) -> (Arc<PrepareCtx>, Arc<Vec<u32>>) {
+        ctx_with(ring_depth, true)
+    }
+
+    fn ctx_with(ring_depth: usize, hybrid: bool) -> (Arc<PrepareCtx>, Arc<Vec<u32>>) {
         let dataset = Arc::new(Dataset::toy(5));
         let batcher = EpochBatcher::new(dataset.splits.train.clone(), 99);
         let order = Arc::new(batcher.epoch_order(0));
@@ -1920,7 +1466,7 @@ mod tests {
             batcher,
             sampler: NeighborSampler::new(vec![4, 3], 17),
             precision: Precision::F32,
-            hybrid: true,
+            hybrid,
             workers: Arc::new(StageWorkers::from_alloc(&alloc)),
             numa_domains: 2,
             rings: Arc::new(StagingRings::new(2, ring_depth)),
@@ -2072,8 +1618,8 @@ mod tests {
                         }
                         // two accelerator batches -> two staging slots held
                         assert_eq!(b.slots.len(), 2, "ring depth {ring_depth}");
-                        a.recycle(&serial_pool);
-                        b.recycle(&piped_pool);
+                        serial.recycle(a);
+                        piped.recycle(b);
                     }
                     (None, None) => break,
                     _ => panic!("serial and pipelined feeds disagree on epoch length"),
@@ -2110,7 +1656,7 @@ mod tests {
         );
         let before = feed.obtain(0, &quotas).expect("first iteration");
         assert_eq!(before.threads, ThreadAlloc::default_for(8));
-        before.recycle(&pool);
+        feed.recycle(before);
 
         // DRM moves two threads from the trainer pool to the loader pool.
         let moved = ThreadAlloc {
@@ -2133,7 +1679,7 @@ mod tests {
                 .obtain(iter, &quotas)
                 .expect("post-rebalance iteration");
             let threads = prep.threads;
-            prep.recycle(&pool);
+            feed.recycle(prep);
             if threads == moved {
                 landed = true;
                 break;
@@ -2149,40 +1695,54 @@ mod tests {
         feed.finish();
     }
 
+    /// A pipelined feed over `ctx` at prefetch `depth`, spawned under
+    /// `quotas`.
+    fn feed_over(
+        ctx: &Arc<PrepareCtx>,
+        order: &Arc<Vec<u32>>,
+        depth: usize,
+        pool: &Arc<MatrixPool>,
+        quotas: &[usize],
+    ) -> IterationFeed {
+        IterationFeed::new(
+            Arc::clone(ctx),
+            Arc::clone(order),
+            0,
+            usize::MAX,
+            depth,
+            Arc::clone(pool),
+            quotas.to_vec(),
+        )
+    }
+
+    /// Poll until the feed has at least `n` iterations queued.
+    fn wait_buffered(feed: &IterationFeed, n: usize) {
+        for _ in 0..500 {
+            if feed.buffered() >= n {
+                return;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        panic!("producer never buffered {n} iterations");
+    }
+
     #[test]
-    fn feed_restarts_on_quota_change_and_drains_changed_lanes() {
+    fn feed_restarts_on_quota_change_and_drains_every_ring() {
         let (ctx, order) = ctx();
         let pool = Arc::new(MatrixPool::new());
         let quotas = vec![8usize, 8, 8];
-        let mut feed = IterationFeed::new(
-            Arc::clone(&ctx),
-            Arc::clone(&order),
-            0,
-            usize::MAX,
-            2,
-            Arc::clone(&pool),
-            quotas.clone(),
-        );
+        let mut feed = feed_over(&ctx, &order, 2, &pool, &quotas);
         let first = feed.obtain(0, &quotas).expect("first iteration");
-        first.recycle(&pool);
+        feed.recycle(first);
         assert_eq!(feed.rings().drains_total(), 0);
-        // consumer re-balances: 4 seeds move from trainer 1 (lane 0) to
-        // trainer 0 (the CPU). Lane 1's slice is untouched — surgical
-        // invalidation drains only lane 0's ring (the re-slice itself
-        // is deferred to the next obtain, where it coalesces bursts).
+        // 4 seeds move from trainer 1 (lane 0) to the CPU: the next
+        // request names the new quotas, so the producer restarts
         let new_quotas = vec![12usize, 4, 8];
-        feed.invalidate(1, new_quotas.clone());
         let second = feed.obtain(1, &new_quotas).expect("post-remap iteration");
-        assert_eq!(
-            feed.rings().ring(0).drains(),
-            1,
-            "the changed lane must record the drain"
-        );
-        assert_eq!(
-            feed.rings().ring(1).drains(),
-            0,
-            "an untouched lane must not be drained"
-        );
+        assert_eq!(feed.restarts(), 1);
+        for a in 0..2 {
+            assert_eq!(feed.rings().ring(a).drains(), 1, "ring {a} drained once");
+        }
         assert_eq!(second.quotas, new_quotas);
         assert_eq!(second.seed_sets[0].len(), 12);
         assert_eq!(second.seed_sets[1].len(), 4);
@@ -2195,74 +1755,79 @@ mod tests {
                 assert_eq!(x.as_slice(), y.as_slice());
             }
         }
-        assert!(feed.restarts() >= 1);
-        second.recycle(&pool);
-        reference.recycle(&pool);
+        feed.recycle(second);
+        feed.recycle(reference);
         feed.finish();
         assert_eq!(ctx.rings.in_flight_total(), 0, "slots leaked after finish");
     }
 
     #[test]
-    fn zero_diff_invalidate_is_a_noop() {
+    fn equal_request_is_a_noop() {
         let (ctx, order) = ctx();
         let pool = Arc::new(MatrixPool::new());
         let quotas = vec![8usize, 8, 8];
-        let mut feed = IterationFeed::new(
-            Arc::clone(&ctx),
-            Arc::clone(&order),
-            0,
-            usize::MAX,
-            2,
-            Arc::clone(&pool),
-            quotas.clone(),
-        );
-        let first = feed.obtain(0, &quotas).expect("first iteration");
-        first.recycle(&pool);
-        // a balance_work whose quotas equal the old ones must cost
-        // nothing — also after the deferred re-slice runs at obtain
-        feed.invalidate(1, quotas.clone());
-        let second = feed.obtain(1, &quotas).expect("second iteration");
-        assert_eq!(second.iter, 1);
-        assert_eq!(feed.restarts(), 0, "zero-diff re-map restarted producer");
-        assert_eq!(feed.rings().drains_total(), 0, "zero-diff re-map drained");
-        assert_eq!(
-            feed.rings().channel_drains_total(),
-            0,
-            "zero-diff re-map drained a lane channel"
-        );
-        assert_eq!(feed.salvage_stats(), (0, 0), "zero-diff re-map flushed");
-        second.recycle(&pool);
+        let mut feed = feed_over(&ctx, &order, 2, &pool, &quotas);
+        for iter in 0..3 {
+            let prep = feed.obtain(iter, &quotas).expect("iteration");
+            assert_eq!(prep.iter, iter);
+            feed.recycle(prep);
+        }
+        assert_eq!(feed.restarts(), 0, "equal quotas restarted the producer");
+        assert_eq!(feed.rings().drains_total(), 0, "equal quotas drained");
+        assert_eq!(feed.batches_flushed(), 0);
+        assert_eq!(feed.restart_wall_s(), 0.0);
         feed.finish();
     }
 
     #[test]
-    fn cancelling_burst_coalesces_to_a_noop() {
-        // two opposite balance_work moves recorded between obtains must
-        // fold into a zero-diff re-map: one coalesce, zero re-slices
-        let (ctx, order) = ctx();
+    fn restart_and_finish_recycle_accelerator_buffers_to_their_rings() {
+        // Non-hybrid: every trainer is an accelerator, so no buffer may
+        // ever land in the shared pool — queued items flushed by a
+        // restart and by finish() go back to their lanes' rings.
+        let (ctx, order) = ctx_with(2, false);
         let pool = Arc::new(MatrixPool::new());
-        let quotas = vec![8usize, 8, 8];
-        let mut feed = IterationFeed::new(
-            Arc::clone(&ctx),
-            Arc::clone(&order),
-            0,
-            usize::MAX,
-            2,
-            Arc::clone(&pool),
-            quotas.clone(),
-        );
+        let quotas = vec![8usize, 8];
+        let mut feed = feed_over(&ctx, &order, 2, &pool, &quotas);
         let first = feed.obtain(0, &quotas).expect("first iteration");
-        first.recycle(&pool);
-        feed.invalidate(1, vec![12, 4, 8]);
-        feed.invalidate(1, quotas.clone()); // moves back: burst cancels
-        assert_eq!(feed.remaps_coalesced(), 1);
-        let second = feed.obtain(1, &quotas).expect("second iteration");
-        assert_eq!(second.iter, 1);
-        assert_eq!(feed.restarts(), 0, "cancelled burst restarted producer");
-        assert_eq!(feed.rings().drains_total(), 0, "cancelled burst drained");
-        assert_eq!(feed.salvage_stats(), (0, 0), "cancelled burst flushed");
-        second.recycle(&pool);
+        feed.recycle(first);
+        wait_buffered(&feed, 1);
+        let moved = vec![4usize, 12];
+        let second = feed.obtain(1, &moved).expect("post-restart iteration");
+        assert!(
+            feed.batches_flushed() > 0,
+            "the restart flushed no queued batch"
+        );
+        feed.recycle(second);
+        wait_buffered(&feed, 1);
         feed.finish();
+        assert_eq!(pool.idle(), 0, "accelerator buffers leaked into the pool");
+        assert_eq!(ctx.rings.in_flight_total(), 0, "slots leaked");
+        for a in 0..2 {
+            assert!(
+                ctx.rings.ring(a).take_buffer().is_some(),
+                "lane {a} got no buffer back"
+            );
+        }
+    }
+
+    #[test]
+    fn producer_panic_is_reraised_by_obtain() {
+        let (ctx, order) = ctx();
+        let mut bad = (*order).clone();
+        bad[0] = u32::MAX; // out-of-range vertex: sampling iteration 0 panics
+        let bad = Arc::new(bad);
+        let quotas = vec![8usize, 8, 8];
+        for depth in [1usize, 2] {
+            let pool = Arc::new(MatrixPool::new());
+            let mut feed = feed_over(&ctx, &bad, depth, &pool, &quotas);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                feed.obtain(0, &quotas).is_none()
+            }));
+            assert!(
+                outcome.is_err(),
+                "depth {depth}: a crashed producer must panic, not end the epoch ({outcome:?})"
+            );
+        }
     }
 
     #[test]
@@ -2312,77 +1877,5 @@ mod tests {
         assert_eq!(gate.cap(), 1, "fixed cap must not follow the loader");
         gate.exit();
         assert_eq!(gate.in_flight(), 0);
-    }
-
-    #[test]
-    fn try_acquire_never_blocks() {
-        let rings = Arc::new(StagingRings::new(1, 1));
-        let t0 = rings.try_acquire_token(0).expect("free slot");
-        assert!(
-            rings.try_acquire_token(0).is_none(),
-            "full ring must refuse"
-        );
-        drop(t0);
-        assert!(rings.try_acquire_token(0).is_some());
-    }
-
-    #[test]
-    fn reslice_salvages_settled_trainers_bitwise() {
-        // 3 trainers (CPU + 2 lanes): move 4 seeds from lane 0 to the
-        // CPU while lane 1's slice stays put — the salvage must keep
-        // lane 1's batch verbatim and rebuild only the movers.
-        let (ctx, order) = ctx();
-        let pool = MatrixPool::new();
-        let old_quotas = [8usize, 8, 8];
-        let new_quotas = [12usize, 4, 8];
-        let mut prep = prepare_iteration(&ctx, &order, 0, 1, &old_quotas, &pool).unwrap();
-        let lane1_before = prep.features[2].as_ref().unwrap().as_slice().to_vec();
-        let out =
-            reslice_iteration(&ctx, &order, 0, &mut prep, &new_quotas, &pool).expect("salvage");
-        assert_eq!(out.salvaged, 1, "lane 1's batch survives");
-        assert_eq!(out.flushed, 2, "CPU + lane 0 are re-sliced");
-        // bitwise-identical to a from-scratch preparation under the new
-        // quotas — including the untouched trainer
-        let reference = prepare_iteration(&ctx, &order, 0, 1, &new_quotas, &pool).unwrap();
-        assert_eq!(prep.seed_sets, reference.seed_sets);
-        assert_eq!(prep.quotas, reference.quotas);
-        for (t, (x, y)) in prep.features.iter().zip(&reference.features).enumerate() {
-            match (x, y) {
-                (Some(x), Some(y)) => assert_eq!(x.as_slice(), y.as_slice(), "trainer {t}"),
-                (None, None) => {}
-                _ => panic!("feature presence diverged at trainer {t}"),
-            }
-        }
-        assert_eq!(
-            prep.features[2].as_ref().unwrap().as_slice(),
-            lane1_before.as_slice(),
-            "salvaged buffer was rewritten"
-        );
-        for (a, b) in prep.batches.iter().zip(&reference.batches) {
-            match (a, b) {
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.seeds, b.seeds);
-                    assert_eq!(a.input_nodes, b.input_nodes);
-                }
-                (None, None) => {}
-                _ => panic!("batch presence diverged"),
-            }
-        }
-        prep.recycle(&pool);
-        reference.recycle(&pool);
-    }
-
-    #[test]
-    fn reslice_rejects_exhausted_iterations() {
-        let (ctx, order) = ctx();
-        let pool = MatrixPool::new();
-        let n = order.len();
-        let old_quotas = [8usize, 8, 8];
-        let mut prep = prepare_iteration(&ctx, &order, 0, 0, &old_quotas, &pool).unwrap();
-        // under huge quotas iteration 0 still exists but this salvage
-        // targets an iteration past the epoch's end
-        prep.iter = n; // beyond any plan
-        assert!(reslice_iteration(&ctx, &order, 0, &mut prep, &old_quotas, &pool).is_none());
-        prep.recycle(&pool);
     }
 }

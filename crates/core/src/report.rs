@@ -56,20 +56,20 @@ pub struct WallStageTimes {
     pub train_s: f64,
     /// End-to-end iteration wall-clock on the consumer thread.
     pub iter_s: f64,
-    /// Per-trainer batches that survived this iteration's DRM
-    /// re-mapping events untouched (their trainer's seed slice did not
-    /// move): queued batch, pooled matrix, and staging slot all kept.
-    /// Counters, not times — [`mean_of`](Self::mean_of) *sums* them, so
-    /// an epoch summary carries epoch totals.
+    /// Per-trainer batches kept across a quota change. Always 0: a
+    /// quota change restarts the prefetch producer and keeps nothing it
+    /// had prepared. The field stays so report readers keep their
+    /// schema. Counters, not times — [`mean_of`](Self::mean_of) *sums*
+    /// them, so an epoch summary carries epoch totals.
     pub batches_salvaged: usize,
-    /// Per-trainer batches discarded (and, for still-active trainers,
-    /// redone) by this iteration's re-mapping events. Summed like
+    /// Per-trainer batches that were queued, fully prepared, when this
+    /// iteration's producer restart threw them away. Summed like
     /// [`batches_salvaged`](Self::batches_salvaged) in `mean_of`.
     pub batches_flushed: usize,
-    /// Wall-clock seconds spent inside DRM invalidation (producer
-    /// shutdown + per-trainer re-slice + restart) this iteration.
-    /// Summed, not averaged, by `mean_of` — the epoch summary is the
-    /// total invalidation tax.
+    /// Wall-clock seconds spent restarting the prefetch producer
+    /// (shutdown, recycle, respawn) this iteration. Summed, not
+    /// averaged, by `mean_of` — the epoch summary is the total restart
+    /// tax.
     pub invalidation_s: f64,
     /// The worker-pool widths the producer prepared this iteration
     /// under — the [`ThreadAlloc`] actually observed by the dispatches
@@ -170,7 +170,7 @@ impl WallStageTimes {
             }
             acc.train_s += t.train_s;
             acc.iter_s += t.iter_s;
-            // salvage accounting accumulates: epoch summaries carry the
+            // restart accounting accumulates: epoch summaries carry the
             // totals, not per-iteration means
             acc.batches_salvaged += t.batches_salvaged;
             acc.batches_flushed += t.batches_flushed;
@@ -251,7 +251,8 @@ pub struct EpochReport {
     /// Task-level Feature Prefetching depth this epoch executed with
     /// (`0` = fully serial stages).
     pub prefetch_depth: usize,
-    /// Producer restarts forced by DRM re-mapping events this epoch.
+    /// Producer restarts forced by quota changes (DRM `balance_work`
+    /// moves) this epoch.
     pub prefetch_restarts: usize,
     /// Per-iteration traces.
     pub trace: Vec<IterationReport>,

@@ -92,7 +92,7 @@ fn real_pipeline_demo() {
         let mut cfg = SystemConfig::paper_default(AcceleratorKind::u250(), GnnKind::GraphSage);
         // Static mapping: the paper's TFP analysis (Eq. 6) is about the
         // settled steady state; with DRM live, every balance_work move
-        // would invalidate the speculative queue (correctness of that
+        // would restart the prefetch producer (correctness of that
         // path is covered by tests/equivalence.rs).
         cfg.opt = OptFlags {
             hybrid: true,

@@ -7,7 +7,9 @@
 //! hyscale scalability [options]        Fig. 9-style scaling study
 //! ```
 //!
-//! Run `hyscale <command> --help` for options.
+//! Run `hyscale <command> --help` for options. A numeric option that is
+//! not a whole number ≥ 1 is rejected with a message naming the flag and
+//! exit code 2.
 
 use hyscale::core::metrics::TrainingHistory;
 use hyscale::core::{AcceleratorKind, HybridTrainer, PerfModel, SystemConfig};
@@ -23,7 +25,13 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("help");
-    let opts = Options::parse(&args[args.len().min(1)..]);
+    let opts = match Options::parse(&args[args.len().min(1)..]) {
+        Ok(opts) => opts,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            return ExitCode::from(2);
+        }
+    };
     match cmd {
         "info" => info(),
         "train" => train(&opts),
@@ -74,8 +82,19 @@ struct Options {
     scale: u64,
 }
 
+/// Parse `flag`'s value as a whole number ≥ 1.
+fn positive(flag: &str, value: Option<&String>) -> Result<usize, String> {
+    value
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| match value {
+            Some(v) => format!("{flag} expects a whole number >= 1, got `{v}`"),
+            None => format!("{flag} expects a whole number >= 1"),
+        })
+}
+
 impl Options {
-    fn parse(args: &[String]) -> Options {
+    fn parse(args: &[String]) -> Result<Options, String> {
         let mut o = Options {
             dataset: OGBN_PRODUCTS,
             model: GnnKind::Gcn,
@@ -109,14 +128,14 @@ impl Options {
                         _ => AcceleratorKind::u250(),
                     }
                 }
-                "--accelerators" => o.accelerators = value().parse().unwrap_or(4),
-                "--epochs" => o.epochs = value().parse().unwrap_or(4),
-                "--batch" => o.batch = value().parse().unwrap_or(512),
-                "--scale" => o.scale = value().parse().unwrap_or(4000),
+                "--accelerators" => o.accelerators = positive(flag, it.next())?,
+                "--epochs" => o.epochs = positive(flag, it.next())?,
+                "--batch" => o.batch = positive(flag, it.next())?,
+                "--scale" => o.scale = positive(flag, it.next())? as u64,
                 _ => {}
             }
         }
-        o
+        Ok(o)
     }
 
     fn system(&self) -> SystemConfig {

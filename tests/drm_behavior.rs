@@ -1,10 +1,10 @@
 //! System-level DRM behaviour (paper §IV-A): starting from a bad task
 //! mapping, Algorithm 1 must converge to a faster one while preserving
 //! the per-iteration seed total and the CPU thread budget — and its two
-//! move kinds must have the right drain semantics on the producer's
-//! staging rings: `balance_work` drains *only the lanes whose share
-//! moved* (salvaging the untouched trainers' queued batches; a
-//! zero-diff move drains nothing), `balance_thread` drains none.
+//! move kinds must have the right effect on the prefetch producer: a
+//! `balance_work` move that changes the quotas restarts it once and
+//! drains every staging ring once (a zero-diff move costs nothing), a
+//! `balance_thread` move restarts and drains nothing.
 
 use hyscale::core::drm::{DrmEngine, ThreadAlloc, WorkloadSplit};
 use hyscale::core::{AcceleratorKind, PerfModel, SystemConfig};
@@ -153,33 +153,20 @@ mod ring_fixture {
     use std::sync::Arc;
     use std::time::Instant;
 
-    pub fn feed(
-        num_accel: usize,
-        depth: usize,
-        ring_depth: usize,
-    ) -> (IterationFeed, Arc<MatrixPool>, Vec<usize>) {
-        feed_with_quotas(num_accel, depth, ring_depth, vec![8usize; 1 + num_accel])
-    }
-
-    pub fn feed_with_quotas(
-        num_accel: usize,
-        depth: usize,
-        ring_depth: usize,
-        quotas: Vec<usize>,
-    ) -> (IterationFeed, Arc<MatrixPool>, Vec<usize>) {
+    pub fn feed(num_accel: usize, depth: usize, ring_depth: usize) -> (IterationFeed, Vec<usize>) {
         let alloc = ThreadAlloc::default_for(8);
         // auto mode: the transfer-lane cap follows the loader budget
         let gate = Arc::new(TransferLaneGate::new(alloc.loader, true));
-        feed_with_gate(num_accel, depth, ring_depth, quotas, gate)
+        feed_with_gate(num_accel, depth, ring_depth, gate)
     }
 
     pub fn feed_with_gate(
         num_accel: usize,
         depth: usize,
         ring_depth: usize,
-        quotas: Vec<usize>,
         gate: Arc<TransferLaneGate>,
-    ) -> (IterationFeed, Arc<MatrixPool>, Vec<usize>) {
+    ) -> (IterationFeed, Vec<usize>) {
+        let quotas = vec![8usize; 1 + num_accel];
         let dataset = Arc::new(Dataset::toy(5));
         let batcher = EpochBatcher::new(dataset.splits.train.clone(), 99);
         let order = Arc::new(batcher.epoch_order(0));
@@ -195,256 +182,137 @@ mod ring_fixture {
             transfer_gate: gate,
             origin: Instant::now(),
         });
-        let pool = Arc::new(MatrixPool::new());
         let feed = IterationFeed::new(
             ctx,
             order,
             0,
             usize::MAX,
             depth,
-            Arc::clone(&pool),
+            Arc::new(MatrixPool::new()),
             quotas.clone(),
         );
-        (feed, pool, quotas)
-    }
-
-    /// Poll until the feed has at least `n` fully-prepared iterations
-    /// buffered (salvage tests need a known amount of queued work
-    /// before firing a re-map). Panics after ~5 s.
-    pub fn wait_buffered(feed: &IterationFeed, n: usize) {
-        for _ in 0..500 {
-            if feed.buffered() >= n {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        panic!(
-            "producer never buffered {n} iterations (got {})",
-            feed.buffered()
-        );
+        (feed, quotas)
     }
 }
 
-/// `balance_work` semantics are *surgical*: a quota change invalidates
-/// only the trainers whose seed slice moved and drains only the staging
-/// rings — and transfer lane channels — of the lanes whose share moved.
-/// Untouched lanes keep their drain counts and their staged batches.
-/// (The re-slice itself is deferred to the next `obtain`, where bursts
-/// coalesce.)
+/// Assert every staging ring of `feed` recorded exactly `n` drains.
+fn assert_every_ring_drained(feed: &hyscale::core::IterationFeed, n: usize) {
+    let rings = feed.rings();
+    for a in 0..rings.num_rings() {
+        assert_eq!(rings.ring(a).drains(), n, "ring {a} drain count");
+    }
+}
+
+/// `balance_work` semantics: the next request under changed quotas
+/// restarts the producer once and drains every staging ring once, and
+/// service continues under the new quotas.
 #[test]
-fn balance_work_drains_only_changed_lanes() {
-    let (mut feed, pool, quotas) = ring_fixture::feed(2, 2, 2);
+fn balance_work_restarts_and_drains_every_lane() {
+    let (mut feed, quotas) = ring_fixture::feed(2, 2, 2);
     let first = feed.obtain(0, &quotas).expect("first iteration");
     assert_eq!(first.slots.len(), 2, "one staging slot per accel batch");
-    first.recycle(&pool);
+    feed.recycle(first);
     assert_eq!(feed.rings().drains_total(), 0);
 
     // the DRM moves 4 seeds from accel trainer 1 (lane 0) to the CPU
-    // trainer; lane 1's slice (prefix 16, quota 8) is untouched
     let new_quotas = vec![12usize, 4, 8];
-    feed.invalidate(1, new_quotas.clone());
     let second = feed.obtain(1, &new_quotas).expect("post-remap iteration");
-    second.recycle(&pool);
-    assert_eq!(feed.restarts(), 1, "balance_work must restart the producer");
-    assert_eq!(feed.rings().ring(0).drains(), 1, "changed lane drained");
-    assert_eq!(feed.rings().ring(1).drains(), 0, "untouched lane spared");
-    assert_eq!(
-        feed.rings().ring(0).channel_drains(),
-        1,
-        "changed lane's transfer channel drained"
-    );
-    assert_eq!(
-        feed.rings().ring(1).channel_drains(),
-        0,
-        "untouched lane's transfer channel spared"
-    );
-
-    // the reverse move changes lane 0 again, and again spares lane 1
-    let newer_quotas = vec![8usize, 8, 8];
-    feed.invalidate(2, newer_quotas.clone());
-    let third = feed.obtain(2, &newer_quotas).expect("post-drain iteration");
-    assert_eq!(third.quotas, newer_quotas);
-    assert_eq!(feed.rings().ring(0).drains(), 2);
-    assert_eq!(feed.rings().ring(1).drains(), 0);
-    assert_eq!(feed.rings().ring(0).channel_drains(), 2);
-    assert_eq!(feed.rings().ring(1).channel_drains(), 0);
-    third.recycle(&pool);
-    let rings = std::sync::Arc::clone(feed.rings());
-    feed.finish();
-    assert_eq!(rings.in_flight_total(), 0, "slots leaked");
-}
-
-/// The ROADMAP coalescing follow-up, pinned: two back-to-back
-/// `balance_work` moves of the *same* trainer (lane 0 donates seeds to
-/// the CPU twice before the consumer's next obtain) must fold into ONE
-/// re-slice against the final quotas — one producer restart, one ring
-/// drain, one channel drain, and the queued iterations re-sliced once,
-/// not twice.
-#[test]
-fn burst_of_same_trainer_moves_reslices_once() {
-    let old_quotas = vec![12usize, 8, 8, 8];
-    let (mut feed, pool, _) = ring_fixture::feed_with_quotas(3, 3, 2, old_quotas.clone());
-    let first = feed.obtain(0, &old_quotas).expect("first iteration");
-    first.recycle(&pool);
-    ring_fixture::wait_buffered(&feed, 2);
-    let queued = feed.buffered();
-    assert_eq!(queued, 2, "ring depth 2 caps the prepared look-ahead at 2");
-
-    // burst: [12,8,8,8] -> [14,6,8,8] -> [16,4,8,8], both moving seeds
-    // from lane 0 to the CPU, recorded back-to-back between obtains
-    feed.invalidate(1, vec![14usize, 6, 8, 8]);
-    feed.invalidate(1, vec![16usize, 4, 8, 8]);
-    assert_eq!(feed.remaps_coalesced(), 1, "second event must coalesce");
-
-    let final_quotas = vec![16usize, 4, 8, 8];
-    let second = feed.obtain(1, &final_quotas).expect("post-burst iteration");
-    assert_eq!(second.quotas, final_quotas);
-    assert_eq!(second.seed_sets[0].len(), 16);
-    assert_eq!(second.seed_sets[1].len(), 4);
-    second.recycle(&pool);
-
-    // ONE re-slice for the whole burst: lane 0 drained once (ring and
-    // channel), untouched lanes spared, producer restarted once, and
-    // each queued iteration's movers flushed exactly once
-    assert_eq!(feed.restarts(), 1, "burst must pay a single restart");
-    assert_eq!(feed.rings().ring(0).drains(), 1, "lane 0 drains once");
-    assert_eq!(feed.rings().ring(0).channel_drains(), 1);
-    assert_eq!(feed.rings().ring(1).drains(), 0);
-    assert_eq!(feed.rings().ring(2).drains(), 0);
-    assert_eq!(feed.rings().ring(1).channel_drains(), 0);
-    assert_eq!(feed.rings().ring(2).channel_drains(), 0);
-    let (salvaged, flushed) = feed.salvage_stats();
-    assert_eq!(
-        salvaged,
-        2 * queued,
-        "lanes 1 and 2 of every queued iteration survive the burst"
-    );
-    assert_eq!(
-        flushed,
-        2 * queued,
-        "CPU + lane 0 of every queued iteration re-sliced exactly once"
-    );
-    feed.finish();
-}
-
-/// The headline salvage pin: with 3 accelerator lanes, a quota diff
-/// touching the CPU trainer and lane 0 (prefixes and quotas of lanes 1
-/// and 2 unchanged) drains exactly lane 0's ring and salvages the
-/// queued batches of the untouched trainers instead of flushing them.
-#[test]
-fn single_lane_quota_diff_salvages_untouched_trainers() {
-    let old_quotas = vec![12usize, 8, 8, 8];
-    let (mut feed, pool, _) = ring_fixture::feed_with_quotas(3, 3, 2, old_quotas.clone());
-    let first = feed.obtain(0, &old_quotas).expect("first iteration");
-    first.recycle(&pool);
-    // Wait for the producer's *steady* fill: at ring depth 2 exactly two
-    // iterations can be fully prepared (each holds a slot per lane; the
-    // third blocks in acquire_slots), so the buffered count is stable at
-    // 2 and the salvage accounting below is deterministic.
-    ring_fixture::wait_buffered(&feed, 2);
-    let queued = feed.buffered();
-    assert_eq!(queued, 2, "ring depth 2 caps the prepared look-ahead at 2");
-
-    // 4 seeds move from lane 0 to the CPU: [12,8,8,8] -> [16,4,8,8].
-    // Lanes 1 and 2 keep both prefix (20, 28) and quota (8, 8).
-    let new_quotas = vec![16usize, 4, 8, 8];
-    feed.invalidate(1, new_quotas.clone());
-    // deferred: the re-slice runs at the next obtain
-    let second = feed.obtain(1, &new_quotas).expect("post-remap iteration");
-
-    assert_eq!(feed.rings().ring(0).drains(), 1, "moved lane must drain");
-    assert_eq!(feed.rings().ring(1).drains(), 0, "lane 1 spared");
-    assert_eq!(feed.rings().ring(2).drains(), 0, "lane 2 spared");
-    assert_eq!(
-        feed.rings().ring(0).channel_drains(),
-        1,
-        "moved lane's transfer channel must drain"
-    );
-    assert_eq!(feed.rings().ring(1).channel_drains(), 0);
-    assert_eq!(feed.rings().ring(2).channel_drains(), 0);
-
-    let (salvaged, flushed) = feed.salvage_stats();
-    assert!(
-        salvaged >= 2,
-        "lanes 1 and 2 of every queued iteration must be salvaged (got {salvaged})"
-    );
-    assert_eq!(
-        salvaged,
-        2 * queued,
-        "exactly the two untouched trainers per queued iteration survive"
-    );
-    assert_eq!(
-        flushed,
-        2 * queued,
-        "exactly the CPU trainer and lane 0 per queued iteration are re-sliced"
-    );
-    assert!(
-        feed.invalidation_wall_s() > 0.0,
-        "re-mapping wall-clock must be accounted"
-    );
-
-    // the salvaged iterations are served under the new quotas
     assert_eq!(second.quotas, new_quotas);
-    assert_eq!(second.seed_sets[0].len(), 16);
-    assert_eq!(second.seed_sets[1].len(), 4);
-    assert_eq!(second.seed_sets[2].len(), 8);
-    assert_eq!(second.seed_sets[3].len(), 8);
-    second.recycle(&pool);
+    feed.recycle(second);
+    assert_eq!(feed.restarts(), 1, "balance_work must restart the producer");
+    assert_every_ring_drained(&feed, 1);
+
+    // the reverse move restarts and drains again
+    let third = feed.obtain(2, &quotas).expect("post-drain iteration");
+    assert_eq!(third.quotas, quotas);
+    feed.recycle(third);
+    assert_eq!(feed.restarts(), 2);
+    assert_every_ring_drained(&feed, 2);
     let rings = std::sync::Arc::clone(feed.rings());
     feed.finish();
     assert_eq!(rings.in_flight_total(), 0, "slots leaked");
 }
 
-/// Regression for the latent zero-diff bug: a `balance_work` whose new
-/// quotas equal the old used to pay a full drain + producer restart.
-/// It must now be a complete no-op — nothing drained, nothing flushed,
-/// no restart — and the feed keeps serving without a hiccup.
+/// Train one epoch of a small hybrid configuration at prefetch depth 2
+/// with the live DRM off and `schedule` as the only re-mapping source.
+fn scripted_epoch(
+    schedule: Vec<hyscale::core::ScriptedDrmEvent>,
+) -> (hyscale::core::EpochReport, usize) {
+    use hyscale::core::{HybridTrainer, OptFlags};
+    let mut cfg = SystemConfig::paper_default(AcceleratorKind::u250(), GnnKind::Gcn);
+    cfg.platform.num_accelerators = 2;
+    cfg.opt = OptFlags {
+        hybrid: true,
+        drm: false,
+        tfp: true,
+    };
+    cfg.train.batch_per_trainer = 32;
+    cfg.train.fanouts = vec![4, 3];
+    cfg.train.hidden_dim = 8;
+    cfg.train.max_functional_iters = Some(4);
+    cfg.train.prefetch_depth = 2;
+    let mut t = HybridTrainer::new(cfg, hyscale::graph::Dataset::toy(41));
+    t.set_mapping(WorkloadSplit::new(32, 96, 2), ThreadAlloc::default_for(16));
+    t.set_drm_schedule(schedule);
+    let report = t.train_epoch();
+    let drains = t.rings().drains_total();
+    (report, drains)
+}
+
+/// Two `balance_work` moves between the same pair of iterations reach
+/// the producer as one request under the final quotas: one restart and
+/// one drain per ring for the pair. A pair that cancels out costs
+/// nothing.
+#[test]
+fn burst_of_moves_before_one_obtain_restarts_once() {
+    use hyscale::core::{ScriptedDrm, ScriptedDrmEvent};
+    let shift = |to_cpu: isize| ScriptedDrmEvent {
+        epoch: 0,
+        iter: 1,
+        action: ScriptedDrm::BalanceWork { to_cpu },
+    };
+    let (report, drains) = scripted_epoch(vec![shift(4), shift(4)]);
+    assert_eq!(report.functional_iters, 4);
+    assert_eq!(report.prefetch_restarts, 1, "a burst must pay one restart");
+    assert_eq!(drains, 2, "one drain on each of the two rings");
+    assert_eq!(report.trace[2].cpu_quota, 40);
+
+    let (report, drains) = scripted_epoch(vec![shift(4), shift(-4)]);
+    assert_eq!(report.prefetch_restarts, 0, "a cancelling burst restarted");
+    assert_eq!(drains, 0, "a cancelling burst drained");
+}
+
+/// A `balance_work` whose new quotas equal the old is a complete no-op:
+/// nothing drained, nothing flushed, no restart, no restart time — and
+/// the feed keeps serving without a hiccup.
 #[test]
 fn zero_diff_balance_work_drains_nothing() {
-    let (mut feed, pool, quotas) = ring_fixture::feed(3, 2, 2);
-    let first = feed.obtain(0, &quotas).expect("first iteration");
-    first.recycle(&pool);
-
-    feed.invalidate(1, quotas.clone());
-    for iter in 1..=2 {
-        let prep = feed.obtain(iter, &quotas).expect("iteration after no-op");
+    let (mut feed, quotas) = ring_fixture::feed(3, 2, 2);
+    for iter in 0..=2 {
+        let prep = feed.obtain(iter, &quotas).expect("iteration");
         assert_eq!(prep.iter, iter);
-        prep.recycle(&pool);
+        feed.recycle(prep);
     }
+    assert_eq!(feed.restarts(), 0, "equal quotas restarted the producer");
+    assert_eq!(feed.rings().drains_total(), 0, "equal quotas drained");
+    assert_eq!(feed.batches_flushed(), 0, "equal quotas flushed work");
     assert_eq!(
-        feed.restarts(),
-        0,
-        "zero-diff re-map restarted the producer"
-    );
-    assert_eq!(feed.rings().drains_total(), 0, "zero-diff re-map drained");
-    assert_eq!(
-        feed.rings().channel_drains_total(),
-        0,
-        "zero-diff re-map drained a lane channel"
-    );
-    assert_eq!(
-        feed.salvage_stats(),
-        (0, 0),
-        "zero-diff re-map flushed work"
-    );
-    assert_eq!(
-        feed.invalidation_wall_s(),
+        feed.restart_wall_s(),
         0.0,
-        "a no-op re-map must not charge invalidation time"
+        "a no-op re-map must not charge restart time"
     );
     feed.finish();
 }
 
 /// `balance_thread` semantics: re-sizing the worker pools — and, in
 /// auto mode, the transfer-lane concurrency — must leave the staging
-/// rings and lane channels intact: no drain, no restart, in-flight
-/// staged batches stay valid (widths and lane counts change wall-clock,
-/// never bytes).
+/// rings intact: no drain, no restart, in-flight staged batches stay
+/// valid (widths and lane counts change wall-clock, never bytes).
 #[test]
 fn balance_thread_leaves_staging_rings_intact() {
-    let (mut feed, pool, quotas) = ring_fixture::feed(2, 2, 2);
+    let (mut feed, quotas) = ring_fixture::feed(2, 2, 2);
     let first = feed.obtain(0, &quotas).expect("first iteration");
-    first.recycle(&pool);
+    feed.recycle(first);
     let cap_before = feed.transfer_gate().cap();
     assert!(cap_before >= 1);
 
@@ -468,11 +336,6 @@ fn balance_thread_leaves_staging_rings_intact() {
         0,
         "balance_thread must not drain the staging rings"
     );
-    assert_eq!(
-        feed.rings().channel_drains_total(),
-        0,
-        "balance_thread must not drain the lane channels"
-    );
 
     // prepared iterations keep flowing through the untouched rings,
     // including across a second lane-count change mid-stream
@@ -487,10 +350,9 @@ fn balance_thread_leaves_staging_rings_intact() {
         }
         let prep = feed.obtain(iter, &quotas).expect("post-move iteration");
         assert_eq!(prep.slots.len(), 2);
-        prep.recycle(&pool);
+        feed.recycle(prep);
     }
     assert_eq!(feed.rings().drains_total(), 0);
-    assert_eq!(feed.rings().channel_drains_total(), 0);
     let rings = std::sync::Arc::clone(feed.rings());
     feed.finish();
     assert_eq!(rings.in_flight_total(), 0, "slots leaked");
@@ -503,9 +365,9 @@ fn balance_thread_leaves_staging_rings_intact() {
 fn fixed_transfer_lane_cap_ignores_thread_moves() {
     use hyscale::core::TransferLaneGate;
     let gate = std::sync::Arc::new(TransferLaneGate::new(2, false));
-    let (mut feed, pool, quotas) = ring_fixture::feed_with_gate(2, 1, 2, vec![8usize, 8, 8], gate);
+    let (mut feed, quotas) = ring_fixture::feed_with_gate(2, 1, 2, gate);
     let first = feed.obtain(0, &quotas).expect("first iteration");
-    first.recycle(&pool);
+    feed.recycle(first);
     assert_eq!(feed.transfer_gate().cap(), 2);
     feed.rebalance_threads(&ThreadAlloc {
         sampler: 1,
@@ -520,17 +382,16 @@ fn fixed_transfer_lane_cap_ignores_thread_moves() {
     feed.finish();
 }
 
-/// Lane starvation: one lane's channel backed up (its ring slots are
-/// all held by the consumer) while the other lane idles — a DRM re-map
-/// fired in that state must neither deadlock nor corrupt service, and
-/// the starved lane's channel drain is surgical.
+/// Lane starvation: the lanes are wedged against ring slots the
+/// consumer still holds when a quota change arrives. The restart must
+/// neither deadlock nor corrupt service, and it drains every ring.
 #[test]
 fn lane_starvation_survives_remap_without_deadlock() {
     // ring depth 1 + held slots: after iteration 0 is obtained (and NOT
     // recycled), both rings' single slots stay occupied, so the lanes
     // block on slot acquisition and the gather stage backs work up into
     // the lane channels (prefetch depth 1 bounds each channel at 1).
-    let (mut feed, pool, quotas) = ring_fixture::feed(2, 1, 1);
+    let (mut feed, quotas) = ring_fixture::feed(2, 1, 1);
     let held = feed.obtain(0, &quotas).expect("first iteration");
     assert_eq!(held.slots.len(), 2, "iteration 0 holds both rings' slots");
     // give the producer time to wedge its lanes against the held slots
@@ -541,56 +402,43 @@ fn lane_starvation_survives_remap_without_deadlock() {
         "nothing can assemble while slots are held"
     );
 
-    // re-map while the lanes are starved: lane 0's slice moves, lane 1
-    // settles
+    // release the held slots only after the producer fully wedged, then
+    // request under moved quotas: the restart must shut it down cleanly
+    feed.recycle(held);
     let new_quotas = vec![10usize, 6, 8];
-    feed.invalidate(1, new_quotas.clone());
-    // release the held slots only now — the apply path must cope with a
-    // producer that was fully wedged
-    held.recycle(&pool);
     let next = feed
         .obtain(1, &new_quotas)
         .expect("post-starvation iteration");
     assert_eq!(next.quotas, new_quotas);
     assert_eq!(next.seed_sets[0].len(), 10);
     assert_eq!(next.seed_sets[1].len(), 6);
-    assert_eq!(
-        feed.rings().ring(0).channel_drains(),
-        1,
-        "starved lane drained"
-    );
-    assert_eq!(
-        feed.rings().ring(1).channel_drains(),
-        0,
-        "settled lane spared"
-    );
-    next.recycle(&pool);
+    assert_eq!(feed.restarts(), 1);
+    assert_every_ring_drained(&feed, 1);
+    feed.recycle(next);
     // the feed keeps serving normally afterwards
     let after = feed.obtain(2, &new_quotas).expect("steady service resumes");
-    after.recycle(&pool);
+    feed.recycle(after);
     let rings = std::sync::Arc::clone(feed.rings());
     feed.finish();
     assert_eq!(rings.in_flight_total(), 0, "slots leaked");
 }
 
 /// Single-slot rings (ring depth 1) still serve the feed correctly —
-/// the transfer stage just serializes against slot release.
+/// the transfer stage just serializes against slot release — and a
+/// quota change drains both rings.
 #[test]
 fn single_slot_rings_serve_and_drain() {
-    let (mut feed, pool, quotas) = ring_fixture::feed(2, 1, 1);
+    let (mut feed, quotas) = ring_fixture::feed(2, 1, 1);
     for iter in 0..3 {
         let prep = feed.obtain(iter, &quotas).expect("iteration");
         assert_eq!(prep.slots.len(), 2);
         assert!(prep.slots.iter().all(|s| s.accel() < 2));
-        prep.recycle(&pool);
+        feed.recycle(prep);
     }
     let new_quotas = vec![10usize, 6, 8];
-    feed.invalidate(3, new_quotas.clone());
     let next = feed.obtain(3, &new_quotas).expect("post-drain");
-    // surgical: only lane 0's slice moved ([8..16] -> [10..16])
-    assert_eq!(feed.rings().ring(0).drains(), 1);
-    assert_eq!(feed.rings().ring(1).drains(), 0);
-    next.recycle(&pool);
+    assert_every_ring_drained(&feed, 1);
+    feed.recycle(next);
     let rings = std::sync::Arc::clone(feed.rings());
     feed.finish();
     assert_eq!(rings.in_flight_total(), 0);

@@ -246,34 +246,6 @@ proptest! {
         prop_assert_eq!(g.targets(), g2.targets());
     }
 
-    /// Surgical invalidation preserves the quota-sum invariant the
-    /// salvage logic keys on: for random splits and random
-    /// `balance_work` deltas, the per-trainer quota diff marks a
-    /// trainer changed exactly when its slice `(prefix, len)` moved.
-    #[test]
-    fn quota_diff_matches_slice_comparison(
-        cpu in 0usize..512,
-        total_extra in 4usize..2048,
-        accels in 1usize..6,
-        delta in 0usize..600,
-        to_cpu in 0u8..2,
-    ) {
-        use hyscale::core::drm::QuotaDiff;
-        let total = cpu + total_extra.max(accels);
-        let mut split = WorkloadSplit::new(cpu.min(total), total, accels);
-        let old = split.quotas();
-        if to_cpu == 1 { split.shift_to_cpu(delta); } else { split.shift_to_accel(delta); }
-        let new = split.quotas();
-        let diff = QuotaDiff::between(&old, &new);
-        // reference: slice-by-slice comparison
-        let prefix = |q: &[usize], t: usize| q[..t].iter().sum::<usize>();
-        for t in 0..new.len() {
-            let moved = prefix(&old, t) != prefix(&new, t) || old[t] != new[t];
-            prop_assert_eq!(diff.trainer_changed(t), moved, "trainer {}", t);
-        }
-        prop_assert_eq!(diff.is_noop(), old == new);
-    }
-
     /// Any sequence of DRM decisions conserves the seed total, the
     /// thread budget, and the sampling-share range.
     #[test]
@@ -349,9 +321,9 @@ proptest! {
     /// `balance_thread`, and no-op events at random iterations must
     /// train bitwise-identical weights and losses to serial execution
     /// for every transfer-lane cap {1, 2, 4} × prefetch depth {1, 2} ×
-    /// staging-ring depth {1, 2}. This is what licenses the surgical
-    /// invalidator to salvage queued batches instead of flushing them,
-    /// and the lane gate to re-time round-trips freely.
+    /// staging-ring depth {1, 2}. This is what licenses the producer
+    /// restart on a quota change to re-map mid-epoch, and the lane gate
+    /// to re-time round-trips freely.
     #[test]
     fn random_drm_schedules_are_bitwise_equivalent(
         raw in prop::collection::vec(
