@@ -29,9 +29,7 @@
 
 use hyscale_core::config::AcceleratorKind;
 use hyscale_core::drm::{DrmEngine, WorkloadSplit};
-use hyscale_core::pipeline::{
-    simulate_pipeline, simulate_pipeline_multilane, simulate_pipeline_ringed, PipelineStageCosts,
-};
+use hyscale_core::pipeline::{simulate_pipeline, PipelineStageCosts};
 use hyscale_core::{
     EpochReport, HybridTrainer, OptFlags, SystemConfig, ThreadAlloc, WallStageTimes,
 };
@@ -158,8 +156,8 @@ fn main() {
     let cfg = config(DEPTH);
     let numa_domains = cfg.platform.numa_domains();
     // Report what actually runs: StagingRings clamps the depth to ≥ 1
-    // (and 0 would mean "unbounded" in simulate_pipeline_ringed terms —
-    // the opposite of a missing staging buffer).
+    // (and 0 would mean "unbounded" in simulate_pipeline terms — the
+    // opposite of a missing staging buffer).
     let ring_depth = cfg.train.staging_ring_depth.max(1);
     let dataset = dataset();
     eprintln!(
@@ -192,20 +190,21 @@ fn main() {
     let stage_means = WallStageTimes::mean_of(serial.iter().map(|r| &r.wall_stages));
     let costs = PipelineStageCosts::from_wall(&stage_means);
     let n = iters(&serial).max(2);
-    let serial_sim = simulate_pipeline(&costs, n, 0).makespan;
-    let predicted = serial_sim / simulate_pipeline(&costs, n, DEPTH).makespan;
-    let ring1_wall = simulate_pipeline_ringed(&costs, n, DEPTH, 1).makespan;
-    let ring2_wall = simulate_pipeline_ringed(&costs, n, DEPTH, 2).makespan;
+    let aggregate = [costs.transfer];
+    let serial_sim = simulate_pipeline(&costs, &aggregate, n, 0, 0, 1).makespan;
+    let predicted = serial_sim / simulate_pipeline(&costs, &aggregate, n, DEPTH, 0, 1).makespan;
+    let ring1_wall = simulate_pipeline(&costs, &aggregate, n, DEPTH, 1, 1).makespan;
+    let ring2_wall = simulate_pipeline(&costs, &aggregate, n, DEPTH, 2, 1).makespan;
     let predicted_hidden_per_iter = ((ring1_wall - ring2_wall) / n as f64).max(0.0);
 
-    // Per-lane transfer model on the measured serial lane walls: what a
-    // single serialized transfer thread would cost vs. concurrent
-    // per-accelerator lanes (the gap is the wire time lane concurrency
-    // folds away once the host has cores to run the lanes on).
+    // Per-lane transfer model on the measured serial lane walls: what
+    // one round-trip at a time would cost vs. every accelerator's
+    // round-trip on its own fan-out lane (the gap is the wire time the
+    // fan-out folds away once the host has cores to run the lanes on).
     let lane_walls = stage_means.lane_transfer_s.clone();
     let lanes_serialized_wall =
-        simulate_pipeline_multilane(&costs, &lane_walls, n, DEPTH, ring_depth, 1).makespan;
-    let lanes_concurrent_wall = simulate_pipeline_multilane(
+        simulate_pipeline(&costs, &lane_walls, n, DEPTH, ring_depth, 1).makespan;
+    let lanes_concurrent_wall = simulate_pipeline(
         &costs,
         &lane_walls,
         n,
@@ -218,7 +217,6 @@ fn main() {
     let prefetch_means = WallStageTimes::mean_of(prefetched.iter().map(|r| &r.wall_stages));
     let overlap = prefetch_means.overlap_factor();
     let transfer_overlap_ratio = prefetch_means.transfer_overlap_ratio();
-    let transfer_lanes = prefetch_means.transfer_lanes.max(1);
     let restarts: usize = prefetched.iter().map(|r| r.prefetch_restarts).sum();
     // Settled worker-pool widths the producer dispatched on (the logical
     // ThreadAlloc; effective threads are capped by `cpus`).
@@ -239,7 +237,7 @@ fn main() {
         "{{\n  \"bench\": \"pipeline\",\n  \"dataset\": \"{}\",\n  \"scale\": {},\n  \
          \"cpus\": {},\n  \"smoke\": {},\n  \
          \"epochs_measured\": {},\n  \"iters_measured\": {},\n  \"prefetch_depth\": {},\n  \
-         \"ring_depth\": {},\n  \"transfer_lanes\": {},\n  \
+         \"ring_depth\": {},\n  \
          \"serial_iters_per_sec\": {:.4},\n  \"prefetch_iters_per_sec\": {:.4},\n  \
          \"serial_iter_wall_s\": {:.6},\n  \"prefetch_iter_wall_s\": {:.6},\n  \
          \"serial_stage_walls_s\": {{\"sample\": {:.6}, \"load\": {:.6}, \
@@ -264,7 +262,6 @@ fn main() {
         iters(&serial),
         DEPTH,
         ring_depth,
-        transfer_lanes,
         serial_ips,
         prefetch_ips,
         serial_wall / serial_iters,
@@ -298,7 +295,7 @@ fn main() {
     eprintln!(
         "measured {speedup:.2}x vs serial on {cpus} cpu(s); stage balance supports \
          {predicted:.2}x at depth {DEPTH}; ring 1 -> 2 hides \
-         {:.1} ms of transfer per iteration (predicted); {transfer_lanes} transfer lane(s), \
+         {:.1} ms of transfer per iteration (predicted); \
          serialized -> concurrent lanes saves {:.1} ms over the epoch (predicted); \
          measured transfer overlap {:.0}%; overlap-aware DRM quota delta \
          {drm_quota_delta}; wrote BENCH_pipeline.json",

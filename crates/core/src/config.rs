@@ -224,28 +224,18 @@ pub struct TrainConfig {
     /// `tests/equivalence.rs`).
     pub prefetch_depth: usize,
     /// Per-accelerator staging-ring depth for the producer's transfer
-    /// stage (clamped ≥ 1 when prefetching). Each accelerator lane owns
+    /// stage (clamped ≥ 1 when prefetching). Each accelerator owns
     /// this many staging slots; a slot is held from the start of a
     /// batch's wire-precision round-trip until its propagation
     /// completes, so `1` serializes transfer with accelerator compute
     /// (a single staging buffer) while `2` double-buffers — the wire
     /// transfer of batch `i+1` overlaps the compute of batch `i`.
     /// Bitwise-neutral like `prefetch_depth`: ring depth changes
-    /// wall-clock only (enforced by `tests/equivalence.rs`).
+    /// wall-clock only (enforced by `tests/equivalence.rs`). How many
+    /// round-trips run at once is not a separate knob: they fan out
+    /// across the loader pool, whose width the DRM's `balance_thread`
+    /// moves re-size.
     pub staging_ring_depth: usize,
-    /// Concurrent transfer-lane cap for the producer's per-accelerator
-    /// transfer stage. Each accelerator owns a dedicated transfer lane
-    /// (its staging ring plus a bounded lane channel fed by the gather
-    /// stage); this cap bounds how many of those lanes may run their
-    /// wire-precision round-trips *concurrently*, WorkerGroup-style
-    /// (the effective concurrency is further capped by the host's real
-    /// parallelism). `0` means "follow the DRM's loader thread budget":
-    /// a `balance_thread` move then re-sizes the live lane concurrency
-    /// in place — no queue or ring drain, exactly like pool widths.
-    /// Bitwise-neutral like `prefetch_depth` and `staging_ring_depth`:
-    /// lane concurrency changes wall-clock only (enforced by the
-    /// multi-lane matrix in `tests/proptest_invariants.rs`).
-    pub transfer_lanes: usize,
 }
 
 impl TrainConfig {
@@ -263,7 +253,6 @@ impl TrainConfig {
             transfer_precision: Precision::F32,
             prefetch_depth: 2,
             staging_ring_depth: 2,
-            transfer_lanes: 0,
         }
     }
 

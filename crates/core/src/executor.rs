@@ -33,9 +33,7 @@
 use crate::config::SystemConfig;
 use crate::drm::{DrmAction, DrmEngine, ScriptedDrm, ScriptedDrmEvent, ThreadAlloc, WorkloadSplit};
 use crate::perf_model::{compute_stage_times, PerfModel, StageInputs};
-use crate::prefetch::{
-    IterationFeed, MatrixPool, PrepareCtx, PreparedIteration, StagingRings, TransferLaneGate,
-};
+use crate::prefetch::{IterationFeed, MatrixPool, PrepareCtx, PreparedIteration, StagingRings};
 use crate::protocol::TrainingRound;
 use crate::report::{EpochReport, IterationReport, WallStageTimes};
 use crate::stages::StageWorkers;
@@ -65,7 +63,6 @@ pub struct HybridTrainer {
     sync: Synchronizer,
     pool: Arc<MatrixPool>,
     rings: Arc<StagingRings>,
-    transfer_gate: Arc<TransferLaneGate>,
     next_epoch: u64,
     /// Scripted DRM moves applied after their `(epoch, iter)` slot —
     /// the deterministic injection point the randomized DRM-schedule
@@ -93,18 +90,6 @@ impl HybridTrainer {
             cfg.platform.num_accelerators,
             cfg.train.staging_ring_depth,
         ));
-        // Transfer-lane concurrency: an explicit cap pins it; 0 follows
-        // the DRM's loader budget so balance_thread moves re-size the
-        // live lane concurrency in place.
-        let follow = cfg.train.transfer_lanes == 0;
-        let transfer_gate = Arc::new(TransferLaneGate::new(
-            if follow {
-                threads.loader
-            } else {
-                cfg.train.transfer_lanes
-            },
-            follow,
-        ));
         Self {
             cfg,
             dataset: Arc::new(dataset),
@@ -120,7 +105,6 @@ impl HybridTrainer {
             sync: Synchronizer::new(),
             pool: Arc::new(MatrixPool::new()),
             rings,
-            transfer_gate,
             next_epoch: 0,
             drm_schedule: Vec::new(),
         }
@@ -162,7 +146,6 @@ impl HybridTrainer {
         self.split = split;
         self.threads = threads;
         self.workers.apply(&self.threads);
-        self.transfer_gate.on_thread_alloc(&self.threads);
     }
 
     /// The live CPU worker pools (sampler / loader / trainer) the real
@@ -171,18 +154,11 @@ impl HybridTrainer {
         &self.workers
     }
 
-    /// The per-accelerator staging rings the producer's transfer lanes
-    /// double-buffer through (`TrainConfig::staging_ring_depth` slots
+    /// The per-accelerator staging rings the producer's transfer stage
+    /// double-buffers through (`TrainConfig::staging_ring_depth` slots
     /// each).
     pub fn rings(&self) -> &StagingRings {
         &self.rings
-    }
-
-    /// The live transfer-lane concurrency gate
-    /// (`TrainConfig::transfer_lanes`; in auto mode `balance_thread`
-    /// moves re-size it).
-    pub fn transfer_gate(&self) -> &TransferLaneGate {
-        &self.transfer_gate
     }
 
     /// The replicated model (read access for evaluation).
@@ -215,7 +191,6 @@ impl HybridTrainer {
         self.split = split;
         self.threads = ckpt.thread_alloc();
         self.workers.apply(&self.threads);
-        self.transfer_gate.on_thread_alloc(&self.threads);
         self.next_epoch = ckpt.epoch;
     }
 
@@ -311,7 +286,6 @@ impl HybridTrainer {
             workers: Arc::clone(&self.workers),
             numa_domains: self.cfg.platform.numa_domains(),
             rings: Arc::clone(&self.rings),
-            transfer_gate: Arc::clone(&self.transfer_gate),
             origin,
         });
         let mut feed = IterationFeed::new(
@@ -357,7 +331,6 @@ impl HybridTrainer {
                 transfer_span,
                 lane_transfer_walls,
                 lane_transfer_spans,
-                transfer_lanes,
                 slots,
                 threads: observed_threads,
                 ..
@@ -593,7 +566,6 @@ impl HybridTrainer {
                     load_s: load_wall_s,
                     transfer_s: transfer_wall_s,
                     transfer_hidden_s,
-                    transfer_lanes,
                     lane_transfer_s: lane_transfer_walls,
                     lane_transfer_hidden_s,
                     train_s: train_wall_s,
@@ -678,7 +650,6 @@ mod tests {
                 transfer_precision: hyscale_tensor::Precision::F32,
                 prefetch_depth: 0,
                 staging_ring_depth: 2,
-                transfer_lanes: 0,
             },
         }
     }

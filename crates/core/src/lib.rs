@@ -58,7 +58,6 @@ pub use executor::HybridTrainer;
 pub use perf_model::PerfModel;
 pub use prefetch::{
     IterationFeed, MatrixPool, PrepareCtx, PreparedIteration, SlotToken, StagingRing, StagingRings,
-    TransferLaneGate,
 };
 pub use report::{EpochReport, IterationReport, WallStageTimes};
 pub use stages::{StageTimes, StageWorkers};

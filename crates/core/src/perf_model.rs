@@ -139,8 +139,8 @@ pub fn compute_stage_times(
 /// — valid only when the links actually run in parallel; a single
 /// transfer thread serving every link round-robin pays the *sum*
 /// instead. These per-lane times are the inputs to
-/// [`crate::pipeline::simulate_pipeline_multilane`], which models that
-/// difference explicitly.
+/// [`crate::pipeline::simulate_pipeline`], which models that difference
+/// explicitly.
 pub fn per_lane_transfer_times(platform: &PlatformConfig, inputs: &StageInputs<'_>) -> Vec<f64> {
     let f0 = inputs.dims[0];
     inputs
@@ -266,10 +266,9 @@ impl PerfModel {
     }
 
     /// Predicted per-accelerator wire times for a given mapping — the
-    /// lane inputs to
-    /// [`crate::pipeline::simulate_pipeline_multilane`], letting the
-    /// model quantify what concurrent transfer lanes buy over a single
-    /// serialized transfer thread for this dataset and split.
+    /// lane inputs to [`crate::pipeline::simulate_pipeline`], letting the
+    /// model quantify what concurrent round-trips buy over one at a time
+    /// for this dataset and split.
     pub fn lane_transfer_times(&self, dataset: &DatasetSpec, split: &WorkloadSplit) -> Vec<f64> {
         let cpu_stats = self.analytic_workload(dataset, split.cpu_quota);
         let accel_stats: Vec<WorkloadStats> = (0..split.num_accelerators)

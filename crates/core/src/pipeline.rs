@@ -78,42 +78,30 @@ pub struct PipelineRun {
 }
 
 /// Simulate `iterations` identical iterations through the 4-stage
-/// pipeline with a prefetch look-ahead of `depth` batches per stage
-/// (`depth = 0` serializes everything — the no-TFP configuration;
-/// `depth = 1` is classic double buffering; the paper's two-stage scheme
-/// is `depth ≥ 2`). The transfer stage is unconstrained by staging
-/// buffers here — see [`simulate_pipeline_ringed`] for the
-/// bounded-staging variant.
-pub fn simulate_pipeline(
-    costs: &PipelineStageCosts,
-    iterations: usize,
-    depth: usize,
-) -> PipelineRun {
-    simulate_pipeline_ringed(costs, iterations, depth, 0)
-}
-
-/// Index of the Data Transfer stage in [`PipelineStageCosts::as_array`].
-const TRANSFER_STAGE: usize = 2;
-
-/// [`simulate_pipeline_ringed`] with the Data Transfer stage split into
-/// per-accelerator *lanes*: `lane_transfer[a]` is accelerator `a`'s wire
-/// time per iteration, and up to `concurrent_lanes` lanes run their
-/// round-trips concurrently. The real producer's lane cap is a
-/// *work-conserving* counting semaphore (`TransferLaneGate`): any idle
-/// slot picks up any waiting round-trip, so the stage's per-iteration
-/// occupancy is modeled as the work-conserving makespan bound
-/// `max(longest lane, Σ lanes / cap)` — monotone non-increasing in the
-/// cap, unlike any static lane→thread partition (which can *regress*
-/// when a cap change rebins an unlucky lane mix). `concurrent_lanes =
-/// 1` is the serialized single-transfer-thread model (the *sum* of the
-/// lane times); `concurrent_lanes ≥ lanes` overlaps every round-trip
-/// (the *max*). With ≥ 2 transfer-bound lanes the concurrent model
-/// therefore predicts a strictly smaller wall. `costs.transfer` is
-/// ignored — the lane times replace it; the other stages behave exactly
-/// as in [`simulate_pipeline_ringed`], including the `depth` prefetch
-/// window and the `ring_depth` staging-slot gate.
+/// pipeline.
+///
+/// * `depth` is the prefetch look-ahead in batches per stage: `0`
+///   serializes everything (the no-TFP configuration), `1` is classic
+///   double buffering, the paper's two-stage scheme is `depth ≥ 2`.
+/// * `lane_transfer[a]` is accelerator `a`'s wire time per iteration;
+///   it replaces `costs.transfer`, which is ignored. Pass
+///   `&[costs.transfer]` to model one aggregate transfer stage.
+/// * `concurrent_lanes` is how many of those round-trips may run at
+///   once. The real producer fans them out across the loader pool, one
+///   matrix per fan-out lane, so the stage's per-iteration occupancy is
+///   modeled as the work-conserving bound `max(longest lane, Σ lanes /
+///   cap)` — monotone non-increasing in the cap. `1` pays the *sum* of
+///   the lane times, a cap ≥ the lane count pays the *max*.
+/// * `ring_depth` is the per-accelerator staging-ring depth between
+///   the transfer and propagation stages: the transfer of iteration `i`
+///   may not start before the propagation of iteration `i - ring_depth`
+///   has completed (its staging slot is still occupied). `1` is a
+///   single staging buffer — transfer and propagation serialize; `2` is
+///   the double-buffered arrangement where transfer of batch `i+1`
+///   hides behind compute of batch `i`; `0` means unbounded staging (no
+///   slot gate).
 #[allow(clippy::needless_range_loop)] // gates read finished[i - k]
-pub fn simulate_pipeline_multilane(
+pub fn simulate_pipeline(
     costs: &PipelineStageCosts,
     lane_transfer: &[f64],
     iterations: usize,
@@ -124,9 +112,9 @@ pub fn simulate_pipeline_multilane(
     assert!(iterations > 0, "need at least one iteration");
     let cap = concurrent_lanes.max(1).min(lane_transfer.len().max(1));
     // Work-conserving occupancy of the transfer stage per iteration:
-    // `cap` gate slots serve the lanes' round-trips greedily, so the
-    // stage can finish no earlier than its longest single round-trip
-    // and no earlier than the total wire work spread over the slots.
+    // `cap` fan-out lanes serve the round-trips greedily, so the stage
+    // can finish no earlier than its longest single round-trip and no
+    // earlier than the total wire work spread over the lanes.
     let total: f64 = lane_transfer.iter().sum();
     let longest = lane_transfer.iter().copied().fold(0.0f64, f64::max);
     let transfer_occupancy = longest.max(total / cap as f64);
@@ -135,8 +123,8 @@ pub fn simulate_pipeline_multilane(
     let mut finished = vec![0.0f64; iterations];
 
     if depth == 0 {
-        // serial execution round-trips the lanes inline, one after the
-        // other, between load and propagation — no concurrency at all
+        // serial (no-TFP) execution: every stage back to back, the
+        // transfer stage charged its total wire work
         let serial_iter = costs.sample + costs.load + total + costs.propagate;
         let mut clock = 0.0;
         for i in 0..iterations {
@@ -161,9 +149,9 @@ pub fn simulate_pipeline_multilane(
                 pre_free[s] = end;
                 batch_ready = end;
             }
-            // Transfer: the lanes' round-trips may start once the batch
-            // is gathered, the gate slots are free of the previous
-            // iteration, and the staging slots are released (iteration
+            // Transfer: the round-trips may start once the batch is
+            // gathered, the previous iteration's round-trips are done,
+            // and the staging slots are released (iteration
             // i - ring_depth finished propagation).
             let mut start = batch_ready.max(transfer_free);
             if ring_depth > 0 && i >= ring_depth {
@@ -176,81 +164,6 @@ pub fn simulate_pipeline_multilane(
             prop_free = end;
             finished[i] = end;
             completions.push(end);
-        }
-    }
-
-    let steady_gap = if iterations >= 2 {
-        completions[iterations - 1] - completions[iterations - 2]
-    } else {
-        completions[0]
-    };
-    PipelineRun {
-        makespan: completions[iterations - 1],
-        completions,
-        steady_gap,
-    }
-}
-
-/// [`simulate_pipeline`] with per-accelerator staging rings of
-/// `ring_depth` slots between the transfer and propagation stages: the
-/// wire transfer of iteration `i` may not start before the propagation
-/// of iteration `i - ring_depth` has completed (its staging slot is
-/// still occupied). `ring_depth = 1` is a single staging buffer —
-/// transfer and propagation serialize; `ring_depth = 2` is the
-/// double-buffered arrangement where transfer of batch `i+1` hides
-/// behind compute of batch `i`; `ring_depth = 0` means unbounded
-/// staging (no slot gate — the idealized model of
-/// [`simulate_pipeline`]).
-#[allow(clippy::needless_range_loop)] // gates read finished[i - k]
-pub fn simulate_pipeline_ringed(
-    costs: &PipelineStageCosts,
-    iterations: usize,
-    depth: usize,
-    ring_depth: usize,
-) -> PipelineRun {
-    assert!(iterations > 0, "need at least one iteration");
-    let stage_costs = costs.as_array();
-    let stages = stage_costs.len();
-    // ready[s] = time stage s becomes free
-    let mut stage_free = vec![0.0f64; stages];
-    // completion[i][s] tracked implicitly; batch_done = when the batch
-    // finished its previous stage
-    let mut completions = Vec::with_capacity(iterations);
-    // start times of each iteration at stage 0 are gated by the prefetch
-    // window: iteration i may not *enter* the pipeline before iteration
-    // i - depth - 1 has fully completed (bounded buffers).
-    let mut finished = vec![0.0f64; iterations];
-
-    if depth == 0 {
-        // serial: each iteration runs all stages back-to-back
-        let mut clock = 0.0;
-        for i in 0..iterations {
-            clock += costs.serial();
-            finished[i] = clock;
-            completions.push(clock);
-        }
-    } else {
-        for i in 0..iterations {
-            let gate = if i > depth {
-                finished[i - depth - 1]
-            } else {
-                0.0
-            };
-            let mut batch_ready = gate;
-            for (s, &cost) in stage_costs.iter().enumerate() {
-                let mut start = batch_ready.max(stage_free[s]);
-                if s == TRANSFER_STAGE && ring_depth > 0 && i >= ring_depth {
-                    // staging-slot gate: the ring slot this transfer
-                    // needs is released when iteration i - ring_depth
-                    // finishes its propagation
-                    start = start.max(finished[i - ring_depth]);
-                }
-                let end = start + cost;
-                stage_free[s] = end;
-                batch_ready = end;
-            }
-            finished[i] = batch_ready;
-            completions.push(batch_ready);
         }
     }
 
@@ -279,11 +192,80 @@ mod tests {
         }
     }
 
+    /// One aggregate transfer stage (`costs.transfer` as the only lane)
+    /// behind staging rings of `ring_depth` slots (0 = unbounded).
+    fn ringed(
+        c: &PipelineStageCosts,
+        iterations: usize,
+        depth: usize,
+        ring_depth: usize,
+    ) -> PipelineRun {
+        simulate_pipeline(c, &[c.transfer], iterations, depth, ring_depth, 1)
+    }
+
+    /// Reference implementation: the four stages as one generic loop,
+    /// with the staging-slot gate on the transfer stage. The lane model
+    /// in [`simulate_pipeline`] must reproduce it exactly at one lane.
+    #[allow(clippy::needless_range_loop)] // gates read finished[i - k]
+    fn oracle(
+        costs: &PipelineStageCosts,
+        iterations: usize,
+        depth: usize,
+        ring_depth: usize,
+    ) -> PipelineRun {
+        const TRANSFER_STAGE: usize = 2;
+        let stage_costs = costs.as_array();
+        let mut stage_free = [0.0f64; 4];
+        let mut completions = Vec::with_capacity(iterations);
+        let mut finished = vec![0.0f64; iterations];
+        if depth == 0 {
+            let mut clock = 0.0;
+            for i in 0..iterations {
+                clock += costs.serial();
+                finished[i] = clock;
+                completions.push(clock);
+            }
+        } else {
+            for i in 0..iterations {
+                // iteration i may not enter the pipeline before
+                // iteration i - depth - 1 has fully completed
+                let mut batch_ready = if i > depth {
+                    finished[i - depth - 1]
+                } else {
+                    0.0
+                };
+                for (s, &cost) in stage_costs.iter().enumerate() {
+                    let mut start = batch_ready.max(stage_free[s]);
+                    if s == TRANSFER_STAGE && ring_depth > 0 && i >= ring_depth {
+                        // the staging slot frees when iteration
+                        // i - ring_depth finishes its propagation
+                        start = start.max(finished[i - ring_depth]);
+                    }
+                    let end = start + cost;
+                    stage_free[s] = end;
+                    batch_ready = end;
+                }
+                finished[i] = batch_ready;
+                completions.push(batch_ready);
+            }
+        }
+        let steady_gap = if iterations >= 2 {
+            completions[iterations - 1] - completions[iterations - 2]
+        } else {
+            completions[0]
+        };
+        PipelineRun {
+            makespan: completions[iterations - 1],
+            completions,
+            steady_gap,
+        }
+    }
+
     #[test]
     fn steady_state_equals_bottleneck() {
         // The analytic Eq. 6 claim, verified by event simulation.
         let c = costs(1.0, 2.0, 5.0, 3.0);
-        let run = simulate_pipeline(&c, 50, 2);
+        let run = ringed(&c, 50, 2, 0);
         assert!(
             (run.steady_gap - c.bottleneck()).abs() < 1e-9,
             "steady gap {} vs bottleneck {}",
@@ -295,7 +277,7 @@ mod tests {
     #[test]
     fn serial_mode_sums_stages() {
         let c = costs(1.0, 2.0, 3.0, 4.0);
-        let run = simulate_pipeline(&c, 10, 0);
+        let run = ringed(&c, 10, 0, 0);
         assert!((run.steady_gap - c.serial()).abs() < 1e-9);
         assert!((run.makespan - 10.0 * c.serial()).abs() < 1e-9);
     }
@@ -304,7 +286,7 @@ mod tests {
     fn fill_overhead_is_bounded_by_pipeline_depth() {
         let c = costs(1.0, 1.0, 1.0, 1.0);
         let n = 100;
-        let run = simulate_pipeline(&c, n, 3);
+        let run = ringed(&c, n, 3, 0);
         // steady state: 1s per iteration; fill adds the first batch's
         // full traversal (4s) minus one steady gap
         let ideal = n as f64 * c.bottleneck();
@@ -319,9 +301,9 @@ mod tests {
     #[test]
     fn deeper_prefetch_never_hurts() {
         let c = costs(2.0, 1.0, 4.0, 3.0);
-        let d1 = simulate_pipeline(&c, 30, 1).makespan;
-        let d2 = simulate_pipeline(&c, 30, 2).makespan;
-        let d4 = simulate_pipeline(&c, 30, 4).makespan;
+        let d1 = ringed(&c, 30, 1, 0).makespan;
+        let d2 = ringed(&c, 30, 2, 0).makespan;
+        let d4 = ringed(&c, 30, 4, 0).makespan;
         assert!(d2 <= d1 + 1e-9);
         assert!(d4 <= d2 + 1e-9);
     }
@@ -329,8 +311,8 @@ mod tests {
     #[test]
     fn pipelined_beats_serial() {
         let c = costs(1.0, 1.5, 2.0, 2.5);
-        let serial = simulate_pipeline(&c, 20, 0).makespan;
-        let piped = simulate_pipeline(&c, 20, 2).makespan;
+        let serial = ringed(&c, 20, 0, 0).makespan;
+        let piped = ringed(&c, 20, 2, 0).makespan;
         assert!(
             piped < serial * 0.5,
             "pipelining too weak: {piped} vs {serial}"
@@ -340,7 +322,7 @@ mod tests {
     #[test]
     fn completions_monotone() {
         let c = costs(0.5, 2.0, 1.0, 0.25);
-        let run = simulate_pipeline(&c, 25, 2);
+        let run = ringed(&c, 25, 2, 0);
         assert!(run.completions.windows(2).all(|w| w[1] > w[0]));
         assert_eq!(run.completions.len(), 25);
     }
@@ -385,7 +367,7 @@ mod tests {
     #[test]
     fn single_iteration() {
         let c = costs(1.0, 1.0, 1.0, 1.0);
-        let run = simulate_pipeline(&c, 1, 2);
+        let run = ringed(&c, 1, 2, 0);
         assert!((run.makespan - 4.0).abs() < 1e-9);
     }
 
@@ -394,7 +376,7 @@ mod tests {
         // transfer 2s, propagate 3s: with one slot the steady cadence is
         // their sum; the pipeline can't hide the wire time at all.
         let c = costs(0.1, 0.1, 2.0, 3.0);
-        let run = simulate_pipeline_ringed(&c, 40, 4, 1);
+        let run = ringed(&c, 40, 4, 1);
         assert!(
             (run.steady_gap - 5.0).abs() < 1e-9,
             "ring-1 steady gap {} should be transfer + propagate",
@@ -405,7 +387,7 @@ mod tests {
     #[test]
     fn double_buffer_hides_transfer_when_compute_dominates() {
         let c = costs(0.1, 0.1, 2.0, 3.0);
-        let ring2 = simulate_pipeline_ringed(&c, 40, 4, 2);
+        let ring2 = ringed(&c, 40, 4, 2);
         // double buffering recovers the idealized bottleneck bound
         assert!(
             (ring2.steady_gap - c.bottleneck()).abs() < 1e-9,
@@ -413,7 +395,7 @@ mod tests {
             ring2.steady_gap,
             c.bottleneck()
         );
-        let ring1 = simulate_pipeline_ringed(&c, 40, 4, 1);
+        let ring1 = ringed(&c, 40, 4, 1);
         assert!(
             ring2.makespan < ring1.makespan,
             "deeper ring must hide transfer time: {} vs {}",
@@ -423,30 +405,28 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_ring_matches_plain_simulation() {
-        let c = costs(1.0, 2.0, 5.0, 3.0);
-        let plain = simulate_pipeline(&c, 30, 2);
-        let ringed = simulate_pipeline_ringed(&c, 30, 2, 0);
-        assert_eq!(plain.completions, ringed.completions);
+    fn deep_ring_matches_unbounded_staging() {
         // a ring at least as deep as the prefetch window changes nothing
-        let deep = simulate_pipeline_ringed(&c, 30, 2, 30);
-        assert_eq!(plain.completions, deep.completions);
+        let c = costs(1.0, 2.0, 5.0, 3.0);
+        let unbounded = ringed(&c, 30, 2, 0);
+        let deep = ringed(&c, 30, 2, 30);
+        assert_eq!(unbounded.completions, deep.completions);
     }
 
     #[test]
     fn multilane_single_lane_matches_ringed() {
-        // one accelerator: the lane model degenerates to the serialized
-        // transfer stage, whatever the concurrency cap
+        // one accelerator: the lane model degenerates to the four-stage
+        // reference loop, whatever the concurrency cap
         let c = costs(0.5, 0.5, 0.0, 2.0);
         for depth in [0usize, 2, 3] {
             for ring in [0usize, 1, 2] {
                 let reference = {
                     let mut cr = c;
                     cr.transfer = 1.5;
-                    simulate_pipeline_ringed(&cr, 25, depth, ring)
+                    oracle(&cr, 25, depth, ring)
                 };
                 for cap in [1usize, 2, 8] {
-                    let lane = simulate_pipeline_multilane(&c, &[1.5], 25, depth, ring, cap);
+                    let lane = simulate_pipeline(&c, &[1.5], 25, depth, ring, cap);
                     assert_eq!(
                         reference.completions, lane.completions,
                         "depth {depth} ring {ring} cap {cap}"
@@ -463,8 +443,8 @@ mod tests {
         // lanes pay 2s — strictly smaller wall
         let c = costs(0.2, 0.2, 0.0, 0.5);
         let lanes = [2.0f64, 2.0];
-        let serialized = simulate_pipeline_multilane(&c, &lanes, 30, 2, 2, 1);
-        let concurrent = simulate_pipeline_multilane(&c, &lanes, 30, 2, 2, 2);
+        let serialized = simulate_pipeline(&c, &lanes, 30, 2, 2, 1);
+        let concurrent = simulate_pipeline(&c, &lanes, 30, 2, 2, 2);
         assert!(
             concurrent.makespan < serialized.makespan - 1e-9,
             "concurrent lanes must beat the single transfer thread: {} vs {}",
@@ -482,7 +462,7 @@ mod tests {
         let lanes = [1.0f64, 0.7, 1.3, 0.9];
         let mut prev = f64::INFINITY;
         for cap in 1..=4 {
-            let run = simulate_pipeline_multilane(&c, &lanes, 25, 3, 2, cap);
+            let run = simulate_pipeline(&c, &lanes, 25, 3, 2, cap);
             assert!(
                 run.makespan <= prev + 1e-9,
                 "cap {cap} regressed: {} vs {prev}",
@@ -491,11 +471,11 @@ mod tests {
             prev = run.makespan;
         }
         // a cap beyond the lane count changes nothing
-        let at4 = simulate_pipeline_multilane(&c, &lanes, 25, 3, 2, 4).makespan;
-        let at16 = simulate_pipeline_multilane(&c, &lanes, 25, 3, 2, 16).makespan;
+        let at4 = simulate_pipeline(&c, &lanes, 25, 3, 2, 4).makespan;
+        let at16 = simulate_pipeline(&c, &lanes, 25, 3, 2, 16).makespan;
         assert_eq!(at4, at16);
         // completions stay monotone
-        let run = simulate_pipeline_multilane(&c, &lanes, 25, 3, 2, 2);
+        let run = simulate_pipeline(&c, &lanes, 25, 3, 2, 2);
         assert!(run.completions.windows(2).all(|w| w[1] >= w[0]));
 
         // Regression: the lane mix that breaks any static lane→thread
@@ -505,7 +485,7 @@ mod tests {
         let skewed = [3.0f64, 1.0, 1.0, 3.0];
         let mut prev = f64::INFINITY;
         for cap in 1..=4 {
-            let m = simulate_pipeline_multilane(&c, &skewed, 25, 3, 2, cap).makespan;
+            let m = simulate_pipeline(&c, &skewed, 25, 3, 2, cap).makespan;
             assert!(
                 m <= prev + 1e-9,
                 "skewed lanes: cap {cap} regressed ({m} vs {prev})"
@@ -516,11 +496,11 @@ mod tests {
 
     #[test]
     fn multilane_serial_depth_sums_all_lanes() {
-        // depth 0 round-trips lanes inline: concurrency cannot help
+        // depth 0 charges the summed wire work whatever the cap
         let c = costs(0.5, 0.5, 0.0, 1.0);
         let lanes = [1.0f64, 2.0];
-        let a = simulate_pipeline_multilane(&c, &lanes, 10, 0, 2, 1);
-        let b = simulate_pipeline_multilane(&c, &lanes, 10, 0, 2, 2);
+        let a = simulate_pipeline(&c, &lanes, 10, 0, 2, 1);
+        let b = simulate_pipeline(&c, &lanes, 10, 0, 2, 2);
         assert_eq!(a.completions, b.completions);
         assert!((a.steady_gap - 5.0).abs() < 1e-9);
     }
@@ -531,8 +511,8 @@ mod tests {
         // lane's wire with propagation even when lanes are concurrent
         let c = costs(0.1, 0.1, 0.0, 3.0);
         let lanes = [2.0f64, 2.0];
-        let ring1 = simulate_pipeline_multilane(&c, &lanes, 40, 4, 1, 2);
-        let ring2 = simulate_pipeline_multilane(&c, &lanes, 40, 4, 2, 2);
+        let ring1 = simulate_pipeline(&c, &lanes, 40, 4, 1, 2);
+        let ring2 = simulate_pipeline(&c, &lanes, 40, 4, 2, 2);
         assert!(
             (ring1.steady_gap - 5.0).abs() < 1e-9,
             "{}",
@@ -548,9 +528,9 @@ mod tests {
     #[test]
     fn ring_depth_monotone() {
         let c = costs(0.5, 0.5, 3.0, 2.0);
-        let m1 = simulate_pipeline_ringed(&c, 25, 3, 1).makespan;
-        let m2 = simulate_pipeline_ringed(&c, 25, 3, 2).makespan;
-        let m3 = simulate_pipeline_ringed(&c, 25, 3, 3).makespan;
+        let m1 = ringed(&c, 25, 3, 1).makespan;
+        let m2 = ringed(&c, 25, 3, 2).makespan;
+        let m3 = ringed(&c, 25, 3, 3).makespan;
         assert!(m2 <= m1 + 1e-9);
         assert!(m3 <= m2 + 1e-9);
     }

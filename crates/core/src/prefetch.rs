@@ -9,32 +9,29 @@
 //! feeds them through a bounded channel of depth `d`
 //! (`TrainConfig::prefetch_depth`) to the consuming trainer.
 //!
-//! ## Concurrent per-accelerator transfer lanes (staging rings)
+//! ## One producer thread, staging rings, fan-out round-trips
 //!
-//! The producer is itself a pipeline. A *gather* thread samples and
-//! NUMA-gathers features, then fans each accelerator's matrix out to
-//! that accelerator's **transfer lane** — a dedicated thread that pulls
-//! gathered batches from its own bounded channel, stages them through
-//! its [`StagingRing`], and runs the wire-precision round-trip. Lanes
-//! run *concurrently with each other* (DistDGLv2/HitGNN-style per-link
-//! saturation: with 4 accelerators the four round-trips overlap each
-//! other as well as trainer compute), bounded WorkerGroup-style by the
-//! shared [`TransferLaneGate`] (resized live by DRM `balance_thread`
-//! moves). An *assembler* thread re-joins the lanes' completions, in
-//! lane-FIFO order, into [`PreparedIteration`]s for the consumer queue.
+//! Each producer generation is a single thread. Per iteration it samples
+//! and NUMA-gathers features, then takes one slot on each accelerator
+//! batch's [`StagingRing`] (in trainer order, blocking while a ring is
+//! full), then round-trips every accelerator matrix at the wire
+//! precision through the loader pool's [`rayon::WorkerGroup::fan_out`]
+//! — one matrix per fan-out lane, so up to `min(loader width,
+//! accelerator batches)` round-trips run concurrently (HitGNN-style
+//! per-link concurrency) — and finally sends the finished
+//! [`PreparedIteration`] down the one bounded consumer queue.
 //!
-//! Each lane's [`StagingRing`] holds `TrainConfig::staging_ring_depth`
-//! slots: a slot is occupied from the start of a batch's round-trip
-//! until its propagation completes (the consumer drops the batch's
-//! [`SlotToken`]s after training), so at ring depth 2 the wire transfer
-//! of batch `i+1` overlaps the accelerator compute of batch `i` —
-//! double buffering *within* the lane, not only across the
-//! producer/consumer queue. Ring depth 1 is a single staging buffer:
-//! that lane's transfer and compute serialize, exactly like the
-//! `ring_depth = 1` case of `hyscale_device::stage::StagingModel` and
-//! [`crate::pipeline::simulate_pipeline_ringed`]. The lane-concurrency
-//! dimension is modeled by
-//! [`crate::pipeline::simulate_pipeline_multilane`].
+//! Each accelerator's [`StagingRing`] holds
+//! `TrainConfig::staging_ring_depth` slots: a slot is occupied from the
+//! start of a batch's round-trip until its propagation completes (the
+//! consumer drops the batch's [`SlotToken`]s after training), so at ring
+//! depth 2 the wire transfer of batch `i+1` overlaps the accelerator
+//! compute of batch `i`. Ring depth 1 is a single staging buffer: the
+//! producer waits for the previous batch's propagation before shipping
+//! the next, exactly like the `ring_depth = 1` case of
+//! `hyscale_device::stage::StagingModel` and of
+//! [`crate::pipeline::simulate_pipeline`], which also models the
+//! fan-out's round-trip concurrency.
 //!
 //! ## Determinism contract
 //!
@@ -58,14 +55,13 @@
 //! request — needs no special case. `tests/equivalence.rs` and the
 //! randomized DRM-schedule harness in `tests/proptest_invariants.rs` pin
 //! weights bitwise across prefetch depths {0, 1, 2, 4} × ring depths
-//! {1, 2} × transfer-lane caps {1, 2, 4} including across re-mapping
-//! events.
+//! {1, 2} × loader widths {1, 2, 4} including across re-mapping events.
 //!
 //! ## Producer failure
 //!
 //! A producer thread that panics ends its generation early, which closes
-//! the consumer queue. The consumer joins every producer thread it stops
-//! and re-raises the first panic payload on its own thread with
+//! the consumer queue. The consumer joins the producer thread it stops
+//! and re-raises its panic payload on its own thread with
 //! [`std::panic::resume_unwind`], so a crashed stage surfaces as a panic
 //! out of [`IterationFeed::obtain`] (or [`IterationFeed::finish`]) —
 //! never as a silently short epoch.
@@ -76,24 +72,25 @@
 //! reuse on top: every recycle ([`PrepareCtx::recycle`] — after
 //! propagation, and for the items a restart flushes) returns an
 //! accelerator batch's buffer to that accelerator's [`StagingRing`] free
-//! list, so each lane re-gathers into the buffer it last shipped
-//! (lane-local reuse); the shared pool is the fallback and serves the
-//! CPU trainer. Steady-state iterations perform zero feature-matrix
-//! allocations.
+//! list, so each accelerator's batch is re-gathered into the buffer it
+//! last shipped (lane-local reuse); the shared pool is the fallback and
+//! serves the CPU trainer. Steady-state iterations perform zero
+//! feature-matrix allocations.
 //!
 //! ## Thread budget (DRM `balance_thread`)
 //!
 //! The producer dispatches its stages on the shared
 //! [`StageWorkers`] pools: sampling runs
-//! under the sampler pool's width, and the `n` per-trainer feature
-//! matrices fan out across loader lanes
-//! ([`rayon::WorkerGroup::fan_out`]) whose gathers are sharded across
-//! the feature matrix's NUMA row domains. A DRM `balance_thread` move
-//! re-sizes the pools in place ([`IterationFeed::rebalance_threads`]);
-//! widths only change wall-clock, so the queue keeps its prepared
-//! iterations, staging rings keep their in-flight transfers, and each
-//! [`PreparedIteration`] records the [`ThreadAlloc`] it was built under
-//! so traces show the shift land.
+//! under the sampler pool's width, the `n` per-trainer feature matrices
+//! fan out across loader lanes ([`rayon::WorkerGroup::fan_out`]) whose
+//! gathers are sharded across the feature matrix's NUMA row domains, and
+//! the accelerator round-trips fan out across the same loader pool. A
+//! DRM `balance_thread` move re-sizes the pools in place
+//! ([`IterationFeed::rebalance_threads`]), so it re-times gathers and
+//! round-trips alike; widths only change wall-clock, so the queue keeps
+//! its prepared iterations, staging rings keep their occupied slots, and
+//! each [`PreparedIteration`] records the [`ThreadAlloc`] it was built
+//! under so traces show the shift land.
 
 use crate::drm::ThreadAlloc;
 use crate::stages::StageWorkers;
@@ -102,7 +99,6 @@ use hyscale_graph::Dataset;
 use hyscale_sampler::{EpochBatcher, MiniBatch, NeighborSampler};
 use hyscale_tensor::{Matrix, Precision};
 use parking_lot::{Condvar, Mutex};
-use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
@@ -151,134 +147,6 @@ impl MatrixPool {
     /// Number of buffers currently idle in the pool.
     pub fn idle(&self) -> usize {
         self.free.lock().len()
-    }
-}
-
-/// WorkerGroup-style concurrency cap for the per-accelerator transfer
-/// lanes: every accelerator owns a dedicated lane (thread + staging
-/// ring + bounded channel), and this gate bounds how many of those
-/// lanes may run their wire-precision round-trips *at the same time*.
-///
-/// Like [`rayon::WorkerGroup`], the **logical** cap is resizable at any
-/// moment ([`set_cap`](Self::set_cap) — the entry point for DRM
-/// `balance_thread` moves, which re-size lane concurrency live without
-/// draining anything), while the **effective** cap is additionally
-/// bounded by the host's real parallelism. Lane order through the gate
-/// is timing-only: round-trips are deterministic per matrix, so the cap
-/// changes wall-clock, never bytes.
-///
-/// ```
-/// use hyscale_core::prefetch::TransferLaneGate;
-/// use std::sync::atomic::AtomicBool;
-///
-/// // the effective cap is host-bounded: pretend this doctest machine
-/// // has 4 cores so two lanes may genuinely overlap
-/// std::env::set_var("HYSCALE_RAYON_THREADS", "4");
-/// let gate = TransferLaneGate::new(2, false);
-/// let stop = AtomicBool::new(false);
-/// assert!(gate.enter(&stop));          // lane 0 transfers
-/// assert!(gate.enter(&stop));          // lane 1 overlaps it
-/// assert_eq!(gate.in_flight(), 2);
-/// gate.set_cap(4);                     // balance_thread widens the budget
-/// assert_eq!(gate.cap(), 4);
-/// gate.exit();
-/// gate.exit();
-/// assert_eq!(gate.in_flight(), 0);
-/// std::env::remove_var("HYSCALE_RAYON_THREADS");
-/// ```
-pub struct TransferLaneGate {
-    cap: AtomicUsize,
-    /// `true` when the cap mirrors the DRM loader thread budget (the
-    /// `TrainConfig::transfer_lanes = 0` auto mode): `balance_thread`
-    /// moves then re-size it; a fixed explicit cap ignores them.
-    follow_threads: bool,
-    in_flight: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl TransferLaneGate {
-    /// A gate admitting `cap` concurrent lane round-trips (clamped
-    /// ≥ 1). `follow_threads` marks the cap as mirroring the DRM's
-    /// loader thread budget (see [`on_thread_alloc`](Self::on_thread_alloc)).
-    pub fn new(cap: usize, follow_threads: bool) -> Self {
-        Self {
-            cap: AtomicUsize::new(cap.max(1)),
-            follow_threads,
-            in_flight: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Current logical cap.
-    pub fn cap(&self) -> usize {
-        self.cap.load(Ordering::Acquire)
-    }
-
-    /// Lanes inside the gate right now.
-    pub fn in_flight(&self) -> usize {
-        *self.in_flight.lock()
-    }
-
-    /// Concurrency a round of transfers can actually achieve: the
-    /// logical cap bounded by the host's real parallelism.
-    pub fn effective_cap(&self) -> usize {
-        self.cap().min(rayon::host_threads()).max(1)
-    }
-
-    /// Re-size the logical cap live (clamped ≥ 1) and wake waiting
-    /// lanes so a widened gate is observed immediately. Drains nothing:
-    /// in-flight round-trips, staged batches, and queued iterations all
-    /// stay valid — lane concurrency is pure wall-clock. The notify
-    /// runs under the gate mutex so it cannot be lost between a
-    /// waiter's cap check and its park.
-    pub fn set_cap(&self, cap: usize) {
-        self.cap.store(cap.max(1), Ordering::Release);
-        let _guard = self.in_flight.lock();
-        self.cv.notify_all();
-    }
-
-    /// Apply a DRM [`ThreadAlloc`]: in auto mode the lane cap follows
-    /// the loader budget (the transfer stage is the loader-adjacent
-    /// wire stage); a fixed cap is left untouched.
-    pub fn on_thread_alloc(&self, alloc: &ThreadAlloc) {
-        if self.follow_threads {
-            self.set_cap(alloc.loader);
-        }
-    }
-
-    /// Enter the gate, blocking while `effective_cap` lanes are already
-    /// transferring. Returns `false` (without entering) once `stop`
-    /// rises — a lane being shut down must not wedge on a slot that
-    /// will never free.
-    pub fn enter(&self, stop: &AtomicBool) -> bool {
-        let mut busy = self.in_flight.lock();
-        loop {
-            if stop.load(Ordering::Acquire) {
-                return false;
-            }
-            if *busy < self.effective_cap() {
-                *busy += 1;
-                return true;
-            }
-            self.cv.wait(&mut busy);
-        }
-    }
-
-    /// Leave the gate, waking one waiting lane.
-    pub fn exit(&self) {
-        {
-            let mut busy = self.in_flight.lock();
-            *busy = busy.saturating_sub(1);
-        }
-        self.cv.notify_all();
-    }
-
-    /// Wake every waiter so it can observe a raised stop flag (under
-    /// the gate mutex — see [`set_cap`](Self::set_cap) for why an
-    /// unlocked notify could be lost).
-    fn interrupt(&self) {
-        let _guard = self.in_flight.lock();
-        self.cv.notify_all();
     }
 }
 
@@ -394,9 +262,9 @@ impl StagingRing {
     /// Wake any waiter so it can observe a raised stop flag. The notify
     /// happens *under the state mutex*: `acquire` checks the stop flag
     /// and parks while holding that lock, so an unlocked notify could
-    /// slot between its check and its park and be lost — leaving a lane
-    /// asleep on a ring whose slots will never free (the shutdown path
-    /// joins that very lane).
+    /// slot between its check and its park and be lost — leaving the
+    /// producer asleep on a ring whose slots will never free (the
+    /// shutdown path joins that very thread).
     fn interrupt(&self) {
         let _guard = self.state.lock();
         self.cv.notify_all();
@@ -527,10 +395,6 @@ pub struct PrepareCtx {
     /// Per-accelerator staging rings gating the transfer stage (shared
     /// with the executor, which releases slots after propagation).
     pub rings: Arc<StagingRings>,
-    /// Concurrency cap for the per-accelerator transfer lanes (shared
-    /// with the executor; a DRM `balance_thread` move re-sizes it live
-    /// via [`TransferLaneGate::on_thread_alloc`]).
-    pub transfer_gate: Arc<TransferLaneGate>,
     /// Epoch time origin: transfer spans and propagation windows are
     /// recorded relative to this instant so the executor can measure how
     /// much wire time the rings hid behind compute.
@@ -552,12 +416,6 @@ impl PrepareCtx {
         }
     }
 
-    /// Inverse of [`accel_of`](Self::accel_of): the trainer index served
-    /// by accelerator lane `a`.
-    pub(crate) fn trainer_of(&self, a: usize) -> usize {
-        a + usize::from(self.hybrid)
-    }
-
     /// Return feature buffers for reuse — the one ring-aware recycle
     /// behind every finished or flushed batch: an accelerator trainer's
     /// buffer goes to its lane's staging-ring free list, the CPU
@@ -571,16 +429,6 @@ impl PrepareCtx {
                 }
             }
         }
-    }
-
-    /// Concurrent transfer lanes a full round of accelerator round-trips
-    /// can achieve right now: one lane per ring, capped by the live
-    /// transfer-gate budget.
-    pub(crate) fn transfer_lanes(&self) -> usize {
-        self.transfer_gate
-            .effective_cap()
-            .min(self.rings.num_rings())
-            .max(1)
     }
 }
 
@@ -620,9 +468,6 @@ pub struct PreparedIteration {
     /// [`transfer_span`](Self::transfer_span), from which the executor
     /// measures per-lane hidden-transfer time.
     pub lane_transfer_spans: Vec<Option<(f64, f64)>>,
-    /// Concurrent transfer lanes this iteration's round-trips ran under
-    /// (`1` for inline serial preparation).
-    pub transfer_lanes: usize,
     /// Staging slots this batch occupies, one per accelerator batch —
     /// released (by drop) when the consumer finishes propagation. Empty
     /// in serial execution, which stages nothing ahead.
@@ -738,76 +583,15 @@ fn stage_gather(
     })
 }
 
-/// One accelerator batch traveling from the gather stage to its
-/// transfer lane over the lane's bounded channel.
-struct LaneWork {
-    accel: usize,
-    x: Matrix,
-}
-
-impl LaneWork {
-    /// Return the gathered-but-untransferred buffer to its lane's free
-    /// list (a recycle invalidates contents, never allocations).
-    fn recycle(self, rings: &StagingRings) {
-        rings.ring(self.accel).put_buffer(self.x);
-    }
-}
-
-/// A lane's completed wire round-trip, headed for the assembler: the
-/// transferred matrix, the staging slot it occupies until propagation
-/// completes, and the lane-local transfer timing.
-struct LaneDone {
-    x: Matrix,
-    token: SlotToken,
-    span: (f64, f64),
-    wall_s: f64,
-}
-
-impl LaneDone {
-    fn recycle(self, rings: &StagingRings) {
-        let accel = self.token.accel();
-        rings.ring(accel).put_buffer(self.x);
-        // self.token drops here, releasing the staging slot
-    }
-}
-
-/// What a transfer lane reports back to the assembler — exactly one
-/// message per [`LaneWork`] it received, **always**, even during
-/// teardown. This one-for-one discipline is load-bearing: the assembler
-/// pairs completions with skeletons purely by per-lane FIFO order, so a
-/// lane that silently dropped a stopped work item would leave the
-/// assembler waiting on a completion that never comes while the gather
-/// thread is parked on the skeleton channel only the assembler can
-/// drain — a deadlock. A lane that bails out (stop raised before its
-/// round-trip) recycles the buffer and reports [`Aborted`](Self::Aborted)
-/// instead.
-enum LaneMsg {
-    /// The round-trip completed; the batch occupies its staging slot.
-    Done(LaneDone),
-    /// The work item was abandoned (shutdown); its buffer was recycled.
-    Aborted,
-}
-
-/// The non-accelerator remainder of a staged iteration (CPU batch,
-/// seed sets, walls) waiting at the assembler for its lanes' completed
-/// round-trips. `lanes` lists the ring indices that received a
-/// [`LaneWork`] for this iteration, in trainer order — the assembler
-/// receives exactly one [`LaneDone`] per entry, in that order, from
-/// each lane's FIFO completion channel.
-struct StagedSkeleton {
-    staged: StagedIteration,
-    lanes: Vec<usize>,
-}
-
-/// Transfer stage, inline serial variant: round-trip every
-/// accelerator-bound matrix at the wire precision (identity at F32; the
-/// §VIII quantization extension) back to back on the caller thread,
-/// stamping per-lane transfer spans against the epoch origin. `slots`
-/// are the staging slots this batch holds until propagation completes
-/// (empty in serial execution). The pipelined path runs the *same*
-/// round-trip per lane on the concurrent lane threads instead — one
-/// in-place call per matrix either way, which is what keeps the two
-/// bitwise-identical.
+/// Transfer stage: round-trip every accelerator-bound matrix at the wire
+/// precision (identity at F32; the §VIII quantization extension) through
+/// the loader pool's [`rayon::WorkerGroup::fan_out`], one matrix per
+/// fan-out lane, each lane stamping its own wall and its span against
+/// the epoch origin. `slots` are the staging slots this batch holds
+/// until propagation completes (empty in serial execution). Serial and
+/// pipelined preparation both call this, and the round-trip is one
+/// in-place call per matrix either way, which keeps them
+/// bitwise-identical whatever the fan-out width.
 fn apply_transfer(
     ctx: &PrepareCtx,
     staged: StagedIteration,
@@ -823,29 +607,35 @@ fn apply_transfer(
         load_wall_s,
         threads,
     } = staged;
+    let work: Vec<(usize, Mutex<&mut Matrix>)> = features
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(idx, x)| Some((ctx.accel_of(idx)?, Mutex::new(x.as_mut()?))))
+        .collect();
+    // (accelerator, wall, span), stamped by the lane that round-tripped it
+    let stamps = Mutex::new(Vec::with_capacity(work.len()));
+    ctx.workers.loader().fan_out(work.len(), |k, lane| {
+        let (a, x) = &work[k];
+        let mut x = x.lock();
+        let start = ctx.origin.elapsed().as_secs_f64();
+        let wall_start = Instant::now();
+        lane.install(|| ctx.precision.round_trip_in_place(&mut x));
+        let wall = wall_start.elapsed().as_secs_f64();
+        stamps
+            .lock()
+            .push((*a, wall, (start, ctx.origin.elapsed().as_secs_f64())));
+    });
+
     let num_rings = ctx.rings.num_rings();
     let mut lane_transfer_walls = vec![0.0f64; num_rings];
     let mut lane_transfer_spans: Vec<Option<(f64, f64)>> = vec![None; num_rings];
-    let mut transfer_wall_s = 0.0f64;
     let mut span: Option<(f64, f64)> = None;
-    for (idx, x) in features.iter_mut().enumerate() {
-        if let (Some(x), Some(a)) = (x.as_mut(), ctx.accel_of(idx)) {
-            let lane_start = ctx.origin.elapsed().as_secs_f64();
-            let wall_start = Instant::now();
-            ctx.workers
-                .loader()
-                .install(|| ctx.precision.round_trip_in_place(x));
-            let wall = wall_start.elapsed().as_secs_f64();
-            let lane_end = ctx.origin.elapsed().as_secs_f64();
-            lane_transfer_walls[a] = wall;
-            lane_transfer_spans[a] = Some((lane_start, lane_end));
-            transfer_wall_s += wall;
-            span = Some(match span {
-                Some((s, e)) => (s.min(lane_start), e.max(lane_end)),
-                None => (lane_start, lane_end),
-            });
-        }
+    for (a, wall, (s0, s1)) in stamps.into_inner() {
+        lane_transfer_walls[a] = wall;
+        lane_transfer_spans[a] = Some((s0, s1));
+        span = Some(span.map_or((s0, s1), |(s, e)| (s.min(s0), e.max(s1))));
     }
+    let transfer_wall_s = lane_transfer_walls.iter().sum();
     let now = ctx.origin.elapsed().as_secs_f64();
 
     PreparedIteration {
@@ -860,7 +650,6 @@ fn apply_transfer(
         transfer_span: span.unwrap_or((now, now)),
         lane_transfer_walls,
         lane_transfer_spans,
-        transfer_lanes: 1,
         slots,
         threads,
     }
@@ -871,10 +660,9 @@ fn apply_transfer(
 /// (no ring slots are taken). Returns `None` once the epoch's seeds are
 /// exhausted.
 ///
-/// This is the single implementation of the producer stages — the
-/// serial (`depth = 0`) path calls it directly and the pipelined path
-/// runs the same two stages on background threads, which is what makes
-/// them bitwise-identical by construction.
+/// The serial (`depth = 0`) path calls this directly; the pipelined
+/// producer runs the same two stages with the staging-slot gate between
+/// them, which is what makes the two bitwise-identical by construction.
 pub fn prepare_iteration(
     ctx: &PrepareCtx,
     order: &[u32],
@@ -887,12 +675,9 @@ pub fn prepare_iteration(
     Some(apply_transfer(ctx, staged, Vec::new()))
 }
 
-/// Handle to one background producer run (one contiguous span of
-/// iterations under fixed quotas): a gather thread feeding one transfer
-/// *lane* per accelerator (each lane owns its staging ring and a
-/// bounded work channel; concurrent round-trips are capped by the
-/// shared [`TransferLaneGate`]) feeding an assembler that re-joins the
-/// lanes' completions into [`PreparedIteration`]s for the consumer
+/// Handle to one producer generation (one contiguous span of iterations
+/// under fixed quotas): a single thread that gathers, takes the staging
+/// slots, round-trips the accelerator batches and feeds the consumer
 /// queue.
 struct Prefetcher {
     rx: Receiver<PreparedIteration>,
@@ -900,16 +685,16 @@ struct Prefetcher {
     ctx: Arc<PrepareCtx>,
     pool: Arc<MatrixPool>,
     /// Prepared iterations currently sitting in the consumer queue
-    /// (incremented by the assembler on send, decremented on receive) —
+    /// (incremented by the producer on send, decremented on receive) —
     /// lets tests and benches wait for the queue to fill
     /// deterministically instead of sleeping.
     ready: Arc<AtomicUsize>,
-    handles: Vec<JoinHandle<()>>,
+    handle: Option<JoinHandle<()>>,
 }
 
 impl Prefetcher {
     /// Spawn a producer covering `start_iter..end_iter` under `quotas`,
-    /// buffering at most `depth` prepared iterations per stage boundary.
+    /// queueing at most `depth` prepared iterations.
     #[allow(clippy::too_many_arguments)]
     fn spawn(
         ctx: Arc<PrepareCtx>,
@@ -921,265 +706,56 @@ impl Prefetcher {
         depth: usize,
         pool: Arc<MatrixPool>,
     ) -> Self {
-        let cap = depth.max(1);
-        let num_rings = ctx.rings.num_rings();
-        let (skel_tx, skel_rx) = sync_channel::<StagedSkeleton>(cap);
-        let (ready_tx, rx) = sync_channel::<PreparedIteration>(cap);
+        let (tx, rx) = sync_channel::<PreparedIteration>(depth.max(1));
         let stop = Arc::new(AtomicBool::new(false));
         let ready = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::with_capacity(2 + num_rings);
-
-        // Per-lane channels: gather → lane (bounded work) and lane →
-        // assembler (completion). Both are FIFO per lane, so the
-        // assembler re-pairs completions with skeletons purely by order
-        // — no sequence numbers needed.
-        //
-        // The completion channel is *unbounded* so a lane's report can
-        // never block: real completions are naturally bounded by the
-        // staging ring (every LaneDone holds a SlotToken, so at most
-        // `ring_depth` exist per lane), and teardown Aborted markers by
-        // the work channel's capacity. A lane parked in a completion
-        // send would neither drain its work channel (wedging the gather
-        // thread) nor drop its sender (wedging the assembler), and
-        // neither wait can observe `stop`.
-        let mut work_txs = Vec::with_capacity(num_rings);
-        let mut done_rxs = Vec::with_capacity(num_rings);
-        for a in 0..num_rings {
-            let (work_tx, work_rx) = sync_channel::<LaneWork>(cap);
-            let (done_tx, done_rx) = std::sync::mpsc::channel::<LaneMsg>();
-            work_txs.push(work_tx);
-            done_rxs.push(done_rx);
-
-            let ctx = Arc::clone(&ctx);
-            let stop = Arc::clone(&stop);
-            let handle = std::thread::Builder::new()
-                .name(format!("hyscale-lane-{a}"))
-                .spawn(move || {
-                    // The lane loop drains its channel to disconnect even
-                    // after `stop` rises (recycling, not transferring), so
-                    // a gather thread parked on a full lane channel always
-                    // completes its send and can observe the flag. Every
-                    // received work item is answered with exactly one
-                    // LaneMsg — Done or Aborted — because the assembler
-                    // pairs completions by FIFO order (see LaneMsg).
-                    while let Ok(work) = work_rx.recv() {
-                        if stop.load(Ordering::Acquire) {
-                            work.recycle(&ctx.rings);
-                            let _ = done_tx.send(LaneMsg::Aborted);
-                            continue;
-                        }
-                        // The staging-slot gate: blocks while every slot
-                        // of this lane's ring holds a batch still in
-                        // transfer or compute — ring depth 1 serializes
-                        // this lane's wire with its compute, depth 2
-                        // double-buffers them.
-                        let Some(token) = ctx.rings.acquire_token(work.accel, &stop) else {
-                            work.recycle(&ctx.rings);
-                            let _ = done_tx.send(LaneMsg::Aborted);
-                            continue;
-                        };
-                        // The lane-concurrency gate: at most
-                        // `TransferLaneGate::effective_cap` lanes run
-                        // their round-trips at once (WorkerGroup-style;
-                        // resized live by DRM balance_thread moves).
-                        // Entered *after* the slot so a gated lane never
-                        // blocks slot-holders of other rings.
-                        if !ctx.transfer_gate.enter(&stop) {
-                            drop(token);
-                            work.recycle(&ctx.rings);
-                            let _ = done_tx.send(LaneMsg::Aborted);
-                            continue;
-                        }
-                        let lanes = ctx.transfer_lanes();
-                        let sub = ctx.workers.loader().sub_group(lanes, work.accel % lanes);
-                        let mut x = work.x;
-                        let span_start = ctx.origin.elapsed().as_secs_f64();
-                        let wall_start = Instant::now();
-                        sub.install(|| ctx.precision.round_trip_in_place(&mut x));
-                        let wall_s = wall_start.elapsed().as_secs_f64();
-                        let span = (span_start, ctx.origin.elapsed().as_secs_f64());
-                        ctx.transfer_gate.exit();
-                        let done = LaneDone {
-                            x,
-                            token,
-                            span,
-                            wall_s,
-                        };
-                        if let Err(rejected) = done_tx.send(LaneMsg::Done(done)) {
-                            // assembler gone (teardown): recycle in place
-                            if let LaneMsg::Done(done) = rejected.0 {
-                                done.recycle(&ctx.rings);
-                            }
-                        }
-                    }
-                })
-                .expect("spawn transfer lane");
-            handles.push(handle);
-        }
-
-        let gather_handle = {
-            let ctx = Arc::clone(&ctx);
-            let order = Arc::clone(&order);
-            let pool = Arc::clone(&pool);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("hyscale-prefetch".into())
-                .spawn(move || {
-                    'epoch: for iter in start_iter..end_iter {
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        match stage_gather(&ctx, &order, epoch, iter, &quotas, &pool) {
-                            Some(mut staged) => {
-                                // Fan the accelerator batches out to their
-                                // lanes' channels (in trainer order), then
-                                // hand the skeleton to the assembler. A
-                                // closed channel means the pipeline is
-                                // tearing down; recycle what this thread
-                                // still holds (the lanes recycle theirs).
-                                let mut lanes = Vec::new();
-                                for idx in 0..staged.batches.len() {
-                                    if staged.batches[idx].is_none() {
-                                        continue;
-                                    }
-                                    let Some(a) = ctx.accel_of(idx) else {
-                                        continue;
-                                    };
-                                    let x = staged.features[idx]
-                                        .take()
-                                        .expect("gathered accelerator feature matrix");
-                                    if work_txs[a].send(LaneWork { accel: a, x }).is_err() {
-                                        ctx.recycle(staged.features, &pool);
-                                        break 'epoch;
-                                    }
-                                    lanes.push(a);
-                                }
-                                if skel_tx.send(StagedSkeleton { staged, lanes }).is_err() {
-                                    break; // lane works already sent are
-                                           // recycled by their lanes
-                                }
-                            }
-                            None => break, // epoch seeds exhausted
-                        }
-                    }
-                })
-                .expect("spawn prefetch gather stage")
-        };
-        handles.push(gather_handle);
-
-        let assembler_handle = {
+        let handle = {
             let ctx = Arc::clone(&ctx);
             let pool = Arc::clone(&pool);
             let stop = Arc::clone(&stop);
             let ready = Arc::clone(&ready);
             std::thread::Builder::new()
-                .name("hyscale-assemble".into())
+                .name("hyscale-prefetch".into())
                 .spawn(move || {
-                    'assemble: while let Ok(skeleton) = skel_rx.recv() {
+                    for iter in start_iter..end_iter {
                         if stop.load(Ordering::Acquire) {
-                            ctx.recycle(skeleton.staged.features, &pool);
                             break;
                         }
-                        let StagedSkeleton { staged, lanes } = skeleton;
-                        // Collect this iteration's completions, one per
-                        // active lane, in lane-FIFO order. An aborted work
-                        // item or a dead lane (stop raced us) aborts
-                        // assembly; everything gathered so far is
-                        // recycled.
-                        let mut dones: Vec<(usize, LaneDone)> = Vec::with_capacity(lanes.len());
-                        let mut aborted = false;
-                        for &a in &lanes {
-                            match done_rxs[a].recv() {
-                                Ok(LaneMsg::Done(done)) => dones.push((a, done)),
-                                Ok(LaneMsg::Aborted) | Err(_) => {
-                                    aborted = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if aborted {
-                            for (_, d) in dones {
-                                d.recycle(&ctx.rings);
-                            }
-                            ctx.recycle(staged.features, &pool);
-                            break 'assemble;
-                        }
-                        let StagedIteration {
-                            iter,
-                            quotas,
-                            seed_sets,
-                            batches,
-                            mut features,
-                            sample_wall_s,
-                            load_wall_s,
-                            threads,
-                        } = staged;
-                        let num_rings = ctx.rings.num_rings();
-                        let mut lane_transfer_walls = vec![0.0f64; num_rings];
-                        let mut lane_transfer_spans: Vec<Option<(f64, f64)>> =
-                            vec![None; num_rings];
-                        let mut slots = Vec::with_capacity(dones.len());
-                        let mut transfer_wall_s = 0.0f64;
-                        let mut span: Option<(f64, f64)> = None;
-                        for (a, done) in dones {
-                            features[ctx.trainer_of(a)] = Some(done.x);
-                            slots.push(done.token);
-                            lane_transfer_walls[a] = done.wall_s;
-                            lane_transfer_spans[a] = Some(done.span);
-                            transfer_wall_s += done.wall_s;
-                            span = Some(match span {
-                                Some((s, e)) => (s.min(done.span.0), e.max(done.span.1)),
-                                None => done.span,
-                            });
-                        }
-                        let now = ctx.origin.elapsed().as_secs_f64();
-                        let prep = PreparedIteration {
-                            iter,
-                            quotas,
-                            seed_sets,
-                            batches,
-                            features,
-                            sample_wall_s,
-                            load_wall_s,
-                            transfer_wall_s,
-                            transfer_span: span.unwrap_or((now, now)),
-                            lane_transfer_walls,
-                            lane_transfer_spans,
-                            transfer_lanes: ctx.transfer_lanes(),
-                            slots,
-                            threads,
+                        let Some(staged) = stage_gather(&ctx, &order, epoch, iter, &quotas, &pool)
+                        else {
+                            break; // epoch seeds exhausted
                         };
+                        // The staging-slot gate: one slot per accelerator
+                        // batch, in trainer order. Blocks while a ring's
+                        // slots all hold batches still in transfer or
+                        // compute — ring depth 1 serializes an
+                        // accelerator's wire with its compute, depth 2
+                        // double-buffers them — and gives up once `stop`
+                        // rises, dropping the slots taken so far.
+                        let slots: Option<Vec<SlotToken>> = (0..staged.features.len())
+                            .filter(|&idx| staged.features[idx].is_some())
+                            .filter_map(|idx| ctx.accel_of(idx))
+                            .map(|a| ctx.rings.acquire_token(a, &stop))
+                            .collect();
+                        let Some(slots) = slots else {
+                            ctx.recycle(staged.features, &pool);
+                            break;
+                        };
+                        let prep = apply_transfer(&ctx, staged, slots);
                         // Count the item *before* committing it to the
                         // channel: a consumer receiving it concurrently
                         // must never observe its decrement before this
                         // increment (underflow).
                         ready.fetch_add(1, Ordering::Release);
-                        if let Err(rejected) = ready_tx.send(prep) {
+                        if let Err(rejected) = tx.send(prep) {
                             ready.fetch_sub(1, Ordering::Release);
                             ctx.recycle(rejected.0.features, &pool);
                             break;
                         }
                     }
-                    // Recycle whatever the gather stage had buffered.
-                    // Blocking receives, not `try_recv`: a gather thread
-                    // parked in `send` on the full channel completes its
-                    // send into the capacity each receive frees, and a
-                    // `try_recv` drain would race past that iteration
-                    // and destroy its buffers instead of pooling them.
-                    // This terminates: by the time the main loop breaks,
-                    // `stop` is raised (every break path follows it), so
-                    // the gather thread exits its loop and drops its
-                    // senders after at most one in-flight iteration.
-                    // Dropping `done_rxs` on exit unblocks any lane
-                    // parked in `done_tx.send`, and the lanes' own drain
-                    // loops recycle the rest.
-                    while let Ok(skeleton) = skel_rx.recv() {
-                        ctx.recycle(skeleton.staged.features, &pool);
-                    }
                 })
-                .expect("spawn prefetch assembler stage")
+                .expect("spawn prefetch producer")
         };
-        handles.push(assembler_handle);
 
         Self {
             rx,
@@ -1187,13 +763,13 @@ impl Prefetcher {
             ctx,
             pool,
             ready,
-            handles,
+            handle: Some(handle),
         }
     }
 
     /// Blocking receive; `None` once the producer has finished the
-    /// epoch. A producer that stopped because one of its threads
-    /// panicked closes the queue early: the panic is re-raised here.
+    /// epoch. A producer whose thread panicked closes the queue early:
+    /// the panic is re-raised here.
     fn recv(&mut self) -> Option<PreparedIteration> {
         match self.rx.recv() {
             Ok(prep) => {
@@ -1213,16 +789,16 @@ impl Prefetcher {
     }
 
     /// Stop the producer, recycle every queued and in-flight item, and
-    /// join its threads. Returns the number of per-trainer batches the
+    /// join its thread. Returns the number of per-trainer batches the
     /// queue held (prepared work thrown away).
     fn shutdown(mut self) -> usize {
         self.halt();
-        // Receive until the queue disconnects: a stage blocked on a full
-        // channel completes its send and then observes `stop`, and every
-        // stage recycles what it still holds before exiting, so each
+        // Receive until the queue disconnects: a producer blocked on the
+        // full channel completes its send and then observes `stop`, and
+        // one blocked on a staging slot recycles what it holds, so each
         // buffer returns through the ring-aware recycle. Bounded: at most
-        // one in-flight iteration per stage — the same work the consumer
-        // would do inline anyway before it can proceed.
+        // one in-flight iteration — the same work the consumer would do
+        // inline anyway before it can proceed.
         let mut flushed = 0;
         while let Ok(prep) = self.rx.recv() {
             flushed += prep.batches.iter().flatten().count();
@@ -1232,26 +808,18 @@ impl Prefetcher {
         flushed
     }
 
-    /// Raise `stop` and wake transfer lanes blocked on a full staging
-    /// ring or on the lane-concurrency gate so they observe it and bail
-    /// out.
+    /// Raise `stop` and wake a producer blocked on a full staging ring
+    /// so it observes it and bails out.
     fn halt(&self) {
         self.stop.store(true, Ordering::Release);
         self.ctx.rings.interrupt_all();
-        self.ctx.transfer_gate.interrupt();
     }
 
-    /// Halt and join every producer thread, re-raising the first panic
-    /// on this thread. Idempotent: a second call finds no handles left.
+    /// Halt and join the producer thread, re-raising its panic on this
+    /// thread. Idempotent: a second call finds no handle left.
     fn join(&mut self) {
         self.halt();
-        let mut panic: Option<Box<dyn Any + Send>> = None;
-        for h in self.handles.drain(..) {
-            if let Err(payload) = h.join() {
-                panic.get_or_insert(payload);
-            }
-        }
-        if let Some(payload) = panic {
+        if let Some(Err(payload)) = self.handle.take().map(JoinHandle::join) {
             std::panic::resume_unwind(payload);
         }
     }
@@ -1376,30 +944,16 @@ impl IterationFeed {
     }
 
     /// Apply a DRM `balance_thread` re-allocation: re-size the shared
-    /// worker pools — and, in auto mode, the transfer-lane concurrency
-    /// cap — so the producer's next dispatch runs at the new widths.
-    /// This is an immediate cross-thread atomic store, not a message
-    /// through the queue — it is unordered with respect to in-flight
-    /// iterations and deliberately restarts nothing. Pool widths and
-    /// lane concurrency change wall-clock, never bytes, so
-    /// already-prepared iterations and in-flight transfers remain valid
-    /// (`tests/equivalence.rs` and the multi-lane matrix in
-    /// `tests/proptest_invariants.rs` pin this bitwise).
+    /// worker pools so the producer's next dispatch — gathers and
+    /// round-trips alike — runs at the new widths. This is an immediate
+    /// cross-thread atomic store, not a message through the queue — it
+    /// is unordered with respect to in-flight iterations and
+    /// deliberately restarts nothing. Pool widths change wall-clock,
+    /// never bytes, so already-prepared iterations and occupied staging
+    /// slots remain valid (`tests/equivalence.rs` and the loader-width
+    /// matrix in `tests/proptest_invariants.rs` pin this bitwise).
     pub fn rebalance_threads(&self, alloc: &ThreadAlloc) {
         self.ctx.workers.apply(alloc);
-        self.ctx.transfer_gate.on_thread_alloc(alloc);
-    }
-
-    /// Concurrent transfer lanes the producer can run right now (one
-    /// lane per accelerator ring, capped by the live
-    /// [`TransferLaneGate`] budget).
-    pub fn transfer_lanes(&self) -> usize {
-        self.ctx.transfer_lanes()
-    }
-
-    /// The live transfer-lane concurrency gate.
-    pub fn transfer_gate(&self) -> &Arc<TransferLaneGate> {
-        &self.ctx.transfer_gate
     }
 
     /// The live worker pools this feed's producer dispatches on.
@@ -1470,7 +1024,6 @@ mod tests {
             workers: Arc::new(StageWorkers::from_alloc(&alloc)),
             numa_domains: 2,
             rings: Arc::new(StagingRings::new(2, ring_depth)),
-            transfer_gate: Arc::new(TransferLaneGate::new(alloc.loader, true)),
             origin: Instant::now(),
         };
         (Arc::new(ctx), order)
@@ -1670,9 +1223,8 @@ mod tests {
 
         // Subsequent prepared iterations carry (and ran under) the new
         // widths, without the queue having been invalidated. At depth 1
-        // up to a few iterations (buffered or in flight across the two
-        // producer stages) may predate the re-size; the move must land
-        // within a few more.
+        // up to a few iterations (queued or in flight on the producer)
+        // may predate the re-size; the move must land within a few more.
         let mut landed = false;
         for iter in 1..=6 {
             let prep = feed
@@ -1828,54 +1380,5 @@ mod tests {
                 "depth {depth}: a crashed producer must panic, not end the epoch ({outcome:?})"
             );
         }
-    }
-
-    #[test]
-    fn transfer_gate_blocks_at_cap_and_wakes_on_resize() {
-        // a waiter parked on a full gate must wake when balance_thread
-        // widens the cap — not only when a lane exits
-        std::env::set_var("HYSCALE_RAYON_THREADS", "4");
-        let gate = Arc::new(TransferLaneGate::new(1, true));
-        let stop = Arc::new(AtomicBool::new(false));
-        assert!(gate.enter(&stop));
-        assert_eq!(gate.in_flight(), 1);
-        let waiter = {
-            let gate = Arc::clone(&gate);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || gate.enter(&stop))
-        };
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(gate.in_flight(), 1, "cap 1 must hold the second lane");
-        gate.on_thread_alloc(&ThreadAlloc {
-            sampler: 1,
-            loader: 2,
-            trainer: 1,
-        });
-        assert_eq!(gate.cap(), 2, "auto mode follows the loader budget");
-        assert!(waiter.join().expect("waiter"), "resize never woke the lane");
-        assert_eq!(gate.in_flight(), 2);
-        gate.exit();
-        gate.exit();
-        assert_eq!(gate.in_flight(), 0);
-        std::env::remove_var("HYSCALE_RAYON_THREADS");
-    }
-
-    #[test]
-    fn transfer_gate_refuses_after_stop() {
-        let gate = Arc::new(TransferLaneGate::new(1, false));
-        let stop = Arc::new(AtomicBool::new(false));
-        assert!(gate.enter(&stop));
-        stop.store(true, Ordering::Release);
-        // full gate + stop: refuse rather than block (shutdown path)
-        assert!(!gate.enter(&stop));
-        // a fixed cap ignores thread re-allocations
-        gate.on_thread_alloc(&ThreadAlloc {
-            sampler: 1,
-            loader: 8,
-            trainer: 1,
-        });
-        assert_eq!(gate.cap(), 1, "fixed cap must not follow the loader");
-        gate.exit();
-        assert_eq!(gate.in_flight(), 0);
     }
 }

@@ -25,7 +25,7 @@ pub struct WallStageTimes {
     pub load_s: f64,
     /// Wire-precision round-trip, the functional stand-in for the PCIe
     /// transfer (producer side) — the *aggregate* wire work, i.e. the
-    /// sum of every transfer lane's round-trip wall
+    /// sum of every accelerator's round-trip wall
     /// ([`lane_transfer_s`](Self::lane_transfer_s)).
     pub transfer_s: f64,
     /// Portion of `transfer_s` that executed while the consumer was
@@ -36,21 +36,13 @@ pub struct WallStageTimes {
     /// transfer can only start once the previous batch's slot frees,
     /// i.e. after its propagation ends).
     pub transfer_hidden_s: f64,
-    /// Concurrent transfer lanes the producer ran with: the
-    /// per-accelerator lane count capped WorkerGroup-style by the live
-    /// transfer budget. `1` in serial execution (inline round-trips)
-    /// and `0` when unrecorded.
-    pub transfer_lanes: usize,
     /// Per-accelerator-lane wire round-trip wall seconds (index =
     /// staging-ring index; empty when unrecorded or no accelerator
     /// batch shipped).
     pub lane_transfer_s: Vec<f64>,
     /// Per-lane share of [`lane_transfer_s`](Self::lane_transfer_s)
     /// that ran behind an earlier batch's propagation — the hidden wire
-    /// time, per lane. With concurrent lanes the *busiest* lane
-    /// ([`busiest_lane_transfer_s`](Self::busiest_lane_transfer_s)) is
-    /// what actually gates the pipeline; the aggregate `transfer_s`
-    /// overstates the critical path by the lane overlap.
+    /// time, per accelerator.
     pub lane_transfer_hidden_s: Vec<f64>,
     /// GNN propagation + synchronization + weight update (consumer side).
     pub train_s: f64,
@@ -108,42 +100,6 @@ impl WallStageTimes {
         }
     }
 
-    /// The slowest single lane's wire round-trip wall — with concurrent
-    /// transfer lanes this, not the aggregate `transfer_s`, is the
-    /// transfer stage's contribution to the pipeline's critical path.
-    pub fn busiest_lane_transfer_s(&self) -> f64 {
-        self.lane_transfer_s.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// How much wire wall the lane concurrency folded away: aggregate
-    /// transfer work over the busiest single lane (`≥ 1.0`; `1.0` =
-    /// one lane did everything, `n` = `n` perfectly-balanced concurrent
-    /// lanes). Returns 1.0 when no lane walls were recorded.
-    pub fn lane_overlap_factor(&self) -> f64 {
-        let busiest = self.busiest_lane_transfer_s();
-        if busiest > 0.0 {
-            (self.transfer_s / busiest).max(1.0)
-        } else {
-            1.0
-        }
-    }
-
-    /// Per-lane hidden-transfer ratio (`lane_transfer_hidden_s[a] /
-    /// lane_transfer_s[a]`, clamped to `[0, 1]`; 0 for idle lanes).
-    pub fn lane_overlap_ratios(&self) -> Vec<f64> {
-        self.lane_transfer_s
-            .iter()
-            .zip(&self.lane_transfer_hidden_s)
-            .map(|(&t, &h)| {
-                if t > 0.0 {
-                    (h / t).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
-
     /// Element-wise mean over a set of per-iteration measurements.
     pub fn mean_of<'a>(times: impl Iterator<Item = &'a WallStageTimes>) -> WallStageTimes {
         let mut acc = WallStageTimes::default();
@@ -163,11 +119,6 @@ impl WallStageTimes {
             acc.transfer_hidden_s += t.transfer_hidden_s;
             add_lanes(&mut acc.lane_transfer_s, &t.lane_transfer_s);
             add_lanes(&mut acc.lane_transfer_hidden_s, &t.lane_transfer_hidden_s);
-            // lane concurrency doesn't average meaningfully: keep the
-            // settled (last-observed, non-zero) count
-            if t.transfer_lanes > 0 {
-                acc.transfer_lanes = t.transfer_lanes;
-            }
             acc.train_s += t.train_s;
             acc.iter_s += t.iter_s;
             // restart accounting accumulates: epoch summaries carry the
@@ -385,24 +336,17 @@ mod tests {
     }
 
     #[test]
-    fn lane_metrics_and_means() {
+    fn lane_means_are_element_wise() {
         let a = WallStageTimes {
             transfer_s: 3.0,
             transfer_hidden_s: 1.0,
-            transfer_lanes: 2,
             lane_transfer_s: vec![2.0, 1.0],
             lane_transfer_hidden_s: vec![1.0, 0.0],
             ..Default::default()
         };
-        // the busiest lane, not the aggregate, gates the pipeline
-        assert_eq!(a.busiest_lane_transfer_s(), 2.0);
-        assert!((a.lane_overlap_factor() - 1.5).abs() < 1e-12);
-        assert_eq!(a.lane_overlap_ratios(), vec![0.5, 0.0]);
-
-        // means: element-wise over lanes, ragged lengths zero-padded
+        // ragged lengths are zero-padded
         let b = WallStageTimes {
             transfer_s: 1.0,
-            transfer_lanes: 2,
             lane_transfer_s: vec![1.0],
             lane_transfer_hidden_s: vec![1.0],
             ..Default::default()
@@ -410,12 +354,5 @@ mod tests {
         let m = WallStageTimes::mean_of([a, b].iter());
         assert_eq!(m.lane_transfer_s, vec![1.5, 0.5]);
         assert_eq!(m.lane_transfer_hidden_s, vec![1.0, 0.0]);
-        assert_eq!(m.transfer_lanes, 2, "settled lane count survives");
-
-        // unrecorded lanes: factor degenerates to 1, ratios empty
-        let zero = WallStageTimes::default();
-        assert_eq!(zero.lane_overlap_factor(), 1.0);
-        assert_eq!(zero.busiest_lane_transfer_s(), 0.0);
-        assert!(zero.lane_overlap_ratios().is_empty());
     }
 }

@@ -106,20 +106,39 @@ impl DatasetSpec {
         [self.f0, self.f1, self.f2]
     }
 
+    /// Communities planted by [`materialize`](Self::materialize): `f2`,
+    /// capped for tiny scales.
+    fn synthetic_classes(&self) -> usize {
+        self.f2.min(64)
+    }
+
+    /// Largest down-scale factor [`materialize`](Self::materialize)
+    /// accepts: the one that still leaves two vertices per planted
+    /// community (every scale does when the 64-vertex floor suffices).
+    pub fn max_scale(&self) -> u64 {
+        let min_vertices = 2 * self.synthetic_classes() as u64;
+        if min_vertices <= 64 {
+            u64::MAX
+        } else {
+            self.num_vertices / min_vertices
+        }
+    }
+
     /// Synthesize a functional stand-in graph scaled down by `scale`
     /// (vertices ≈ `num_vertices / scale`), preserving average degree and
     /// planting `f2` learnable communities. Deterministic in `seed`.
     ///
     /// # Panics
-    /// If `scale` is 0 or leaves fewer than 2·classes vertices.
+    /// If `scale` is 0 or exceeds [`max_scale`](Self::max_scale).
     pub fn materialize(&self, scale: u64, seed: u64) -> Dataset {
-        assert!(scale >= 1, "scale must be >= 1");
-        let n = (self.num_vertices / scale).max(64) as usize;
-        let classes = self.f2.min(64); // cap synthetic communities for tiny scales
         assert!(
-            n >= 2 * classes,
-            "scale {scale} leaves too few vertices ({n}) for {classes} classes"
+            (1..=self.max_scale()).contains(&scale),
+            "scale {scale} is outside 1..={} for {}",
+            self.max_scale(),
+            self.name
         );
+        let n = (self.num_vertices / scale).max(64) as usize;
+        let classes = self.synthetic_classes();
         // symmetrize() roughly doubles the out-degree of a directed SBM,
         // so generate at half the spec's average degree to land on it.
         let avg_degree = (self.avg_degree() / 2.0).round() as usize;
@@ -236,6 +255,15 @@ mod tests {
         assert_eq!(d.data.num_classes, 47);
         assert!(!d.splits.train.is_empty());
         d.graph.validate().unwrap();
+    }
+
+    #[test]
+    fn max_scale_is_the_materialize_bound() {
+        let top = OGBN_PRODUCTS.max_scale();
+        let d = OGBN_PRODUCTS.materialize(top, 1);
+        assert!(d.graph.num_vertices() >= 2 * OGBN_PRODUCTS.synthetic_classes());
+        let past = std::panic::catch_unwind(|| OGBN_PRODUCTS.materialize(top + 1, 1));
+        assert!(past.is_err(), "scale {} must be rejected", top + 1);
     }
 
     #[test]

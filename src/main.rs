@@ -7,9 +7,10 @@
 //! hyscale scalability [options]        Fig. 9-style scaling study
 //! ```
 //!
-//! Run `hyscale <command> --help` for options. A numeric option that is
-//! not a whole number ≥ 1 is rejected with a message naming the flag and
-//! exit code 2.
+//! Run `hyscale <command> --help` for options. An unknown flag, an
+//! unknown `--dataset`/`--model`/`--accel` value, a numeric option that
+//! is not a whole number ≥ 1, and a `--scale` too large for the dataset
+//! are rejected with a message naming the flag and exit code 2.
 
 use hyscale::core::metrics::TrainingHistory;
 use hyscale::core::{AcceleratorKind, HybridTrainer, PerfModel, SystemConfig};
@@ -26,7 +27,11 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     let opts = match Options::parse(&args[args.len().min(1)..]) {
-        Ok(opts) => opts,
+        Ok(Some(opts)) => opts,
+        Ok(None) => {
+            help();
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("error: {msg}");
             return ExitCode::from(2);
@@ -68,7 +73,8 @@ fn help() {
            --accelerators <n>                        (default 4)\n\
            --epochs <n>                              (default 4)\n\
            --batch <n>                               seeds per trainer (default 512)\n\
-           --scale <n>                               dataset down-scale (default 4000)"
+           --scale <n>                               dataset down-scale (default 4000)\n\
+           --help, -h                                print this help"
     );
 }
 
@@ -80,6 +86,23 @@ struct Options {
     epochs: usize,
     batch: usize,
     scale: u64,
+}
+
+/// Parse `flag`'s value as one of `choices`' names.
+fn choice<T: Clone>(
+    flag: &str,
+    value: Option<&String>,
+    choices: &[(&str, T)],
+) -> Result<T, String> {
+    let found = value.and_then(|v| choices.iter().find(|(name, _)| name == v));
+    found.map(|(_, t)| t.clone()).ok_or_else(|| {
+        let names: Vec<&str> = choices.iter().map(|(name, _)| *name).collect();
+        let expected = format!("{flag} expects one of {}", names.join("|"));
+        match value {
+            Some(v) => format!("{expected}, got `{v}`"),
+            None => expected,
+        }
+    })
 }
 
 /// Parse `flag`'s value as a whole number ≥ 1.
@@ -94,7 +117,8 @@ fn positive(flag: &str, value: Option<&String>) -> Result<usize, String> {
 }
 
 impl Options {
-    fn parse(args: &[String]) -> Result<Options, String> {
+    /// Parse the options after the command; `Ok(None)` asks for the help.
+    fn parse(args: &[String]) -> Result<Option<Options>, String> {
         let mut o = Options {
             dataset: OGBN_PRODUCTS,
             model: GnnKind::Gcn,
@@ -106,36 +130,56 @@ impl Options {
         };
         let mut it = args.iter();
         while let Some(flag) = it.next() {
-            let mut value = || it.next().cloned().unwrap_or_default();
             match flag.as_str() {
+                "--help" | "-h" => return Ok(None),
                 "--dataset" => {
-                    o.dataset = match value().as_str() {
-                        "papers100m" => OGBN_PAPERS100M,
-                        "mag240m" => MAG240M_HOMO,
-                        _ => OGBN_PRODUCTS,
-                    }
+                    o.dataset = choice(
+                        flag,
+                        it.next(),
+                        &[
+                            ("products", OGBN_PRODUCTS),
+                            ("papers100m", OGBN_PAPERS100M),
+                            ("mag240m", MAG240M_HOMO),
+                        ],
+                    )?
                 }
                 "--model" => {
-                    o.model = match value().as_str() {
-                        "sage" => GnnKind::GraphSage,
-                        "gin" => GnnKind::Gin,
-                        _ => GnnKind::Gcn,
-                    }
+                    o.model = choice(
+                        flag,
+                        it.next(),
+                        &[
+                            ("gcn", GnnKind::Gcn),
+                            ("sage", GnnKind::GraphSage),
+                            ("gin", GnnKind::Gin),
+                        ],
+                    )?
                 }
                 "--accel" => {
-                    o.accel = match value().as_str() {
-                        "gpu" => AcceleratorKind::a5000(),
-                        _ => AcceleratorKind::u250(),
-                    }
+                    o.accel = choice(
+                        flag,
+                        it.next(),
+                        &[
+                            ("fpga", AcceleratorKind::u250()),
+                            ("gpu", AcceleratorKind::a5000()),
+                        ],
+                    )?
                 }
                 "--accelerators" => o.accelerators = positive(flag, it.next())?,
                 "--epochs" => o.epochs = positive(flag, it.next())?,
                 "--batch" => o.batch = positive(flag, it.next())?,
                 "--scale" => o.scale = positive(flag, it.next())? as u64,
-                _ => {}
+                other => return Err(format!("unknown option `{other}`")),
             }
         }
-        Ok(o)
+        // Checked after every flag is read: the bound depends on --dataset.
+        let max_scale = o.dataset.max_scale();
+        if o.scale > max_scale {
+            return Err(format!(
+                "--scale expects at most {max_scale} for {}, got `{}`",
+                o.dataset.name, o.scale
+            ));
+        }
+        Ok(Some(o))
     }
 
     fn system(&self) -> SystemConfig {

@@ -146,7 +146,7 @@ fn balance_thread_resizes_live_worker_pools() {
 mod ring_fixture {
     use hyscale::core::drm::ThreadAlloc;
     use hyscale::core::stages::StageWorkers;
-    use hyscale::core::{IterationFeed, MatrixPool, PrepareCtx, StagingRings, TransferLaneGate};
+    use hyscale::core::{IterationFeed, MatrixPool, PrepareCtx, StagingRings};
     use hyscale::graph::Dataset;
     use hyscale::sampler::{EpochBatcher, NeighborSampler};
     use hyscale::tensor::Precision;
@@ -154,18 +154,6 @@ mod ring_fixture {
     use std::time::Instant;
 
     pub fn feed(num_accel: usize, depth: usize, ring_depth: usize) -> (IterationFeed, Vec<usize>) {
-        let alloc = ThreadAlloc::default_for(8);
-        // auto mode: the transfer-lane cap follows the loader budget
-        let gate = Arc::new(TransferLaneGate::new(alloc.loader, true));
-        feed_with_gate(num_accel, depth, ring_depth, gate)
-    }
-
-    pub fn feed_with_gate(
-        num_accel: usize,
-        depth: usize,
-        ring_depth: usize,
-        gate: Arc<TransferLaneGate>,
-    ) -> (IterationFeed, Vec<usize>) {
         let quotas = vec![8usize; 1 + num_accel];
         let dataset = Arc::new(Dataset::toy(5));
         let batcher = EpochBatcher::new(dataset.splits.train.clone(), 99);
@@ -179,7 +167,6 @@ mod ring_fixture {
             workers: Arc::new(StageWorkers::from_alloc(&ThreadAlloc::default_for(8))),
             numa_domains: 2,
             rings: Arc::new(StagingRings::new(num_accel, ring_depth)),
-            transfer_gate: gate,
             origin: Instant::now(),
         });
         let feed = IterationFeed::new(
@@ -304,17 +291,16 @@ fn zero_diff_balance_work_drains_nothing() {
     feed.finish();
 }
 
-/// `balance_thread` semantics: re-sizing the worker pools — and, in
-/// auto mode, the transfer-lane concurrency — must leave the staging
-/// rings intact: no drain, no restart, in-flight staged batches stay
-/// valid (widths and lane counts change wall-clock, never bytes).
+/// `balance_thread` semantics: re-sizing the worker pools — the loader
+/// pool's width is also the round-trip concurrency — must leave the
+/// staging rings intact: no drain, no restart, occupied staging slots
+/// stay valid (widths change wall-clock, never bytes).
 #[test]
 fn balance_thread_leaves_staging_rings_intact() {
     let (mut feed, quotas) = ring_fixture::feed(2, 2, 2);
     let first = feed.obtain(0, &quotas).expect("first iteration");
     feed.recycle(first);
-    let cap_before = feed.transfer_gate().cap();
-    assert!(cap_before >= 1);
+    assert!(feed.workers().observed().loader >= 1);
 
     let moved = ThreadAlloc {
         sampler: 2,
@@ -323,12 +309,12 @@ fn balance_thread_leaves_staging_rings_intact() {
     };
     feed.rebalance_threads(&moved);
     assert_eq!(feed.workers().observed(), moved);
-    // auto mode: the lane concurrency cap followed the loader budget —
-    // a live resize with no draining of any kind
+    // the round-trip fan-out width followed the loader budget — a live
+    // resize with no draining of any kind
     assert_eq!(
-        feed.transfer_gate().cap(),
+        feed.workers().observed().loader,
         4,
-        "transfer-lane cap must follow the loader budget in auto mode"
+        "the loader pool must take the new budget"
     );
     assert_eq!(feed.restarts(), 0, "balance_thread must not restart");
     assert_eq!(
@@ -338,7 +324,7 @@ fn balance_thread_leaves_staging_rings_intact() {
     );
 
     // prepared iterations keep flowing through the untouched rings,
-    // including across a second lane-count change mid-stream
+    // including across a second loader-width change mid-stream
     for iter in 1..=3 {
         if iter == 2 {
             feed.rebalance_threads(&ThreadAlloc {
@@ -346,7 +332,7 @@ fn balance_thread_leaves_staging_rings_intact() {
                 loader: 1,
                 trainer: 5,
             });
-            assert_eq!(feed.transfer_gate().cap(), 1, "lane cap narrowed live");
+            assert_eq!(feed.workers().observed().loader, 1, "loader narrowed live");
         }
         let prep = feed.obtain(iter, &quotas).expect("post-move iteration");
         assert_eq!(prep.slots.len(), 2);
@@ -358,48 +344,23 @@ fn balance_thread_leaves_staging_rings_intact() {
     assert_eq!(rings.in_flight_total(), 0, "slots leaked");
 }
 
-/// A fixed (non-auto) transfer-lane cap ignores `balance_thread` moves:
-/// the operator pinned the lane concurrency, the DRM only re-sizes the
-/// worker pools.
-#[test]
-fn fixed_transfer_lane_cap_ignores_thread_moves() {
-    use hyscale::core::TransferLaneGate;
-    let gate = std::sync::Arc::new(TransferLaneGate::new(2, false));
-    let (mut feed, quotas) = ring_fixture::feed_with_gate(2, 1, 2, gate);
-    let first = feed.obtain(0, &quotas).expect("first iteration");
-    feed.recycle(first);
-    assert_eq!(feed.transfer_gate().cap(), 2);
-    feed.rebalance_threads(&ThreadAlloc {
-        sampler: 1,
-        loader: 6,
-        trainer: 1,
-    });
-    assert_eq!(
-        feed.transfer_gate().cap(),
-        2,
-        "a pinned lane cap must not follow the loader budget"
-    );
-    feed.finish();
-}
-
-/// Lane starvation: the lanes are wedged against ring slots the
+/// Lane starvation: the producer is wedged against a ring slot the
 /// consumer still holds when a quota change arrives. The restart must
 /// neither deadlock nor corrupt service, and it drains every ring.
 #[test]
 fn lane_starvation_survives_remap_without_deadlock() {
     // ring depth 1 + held slots: after iteration 0 is obtained (and NOT
-    // recycled), both rings' single slots stay occupied, so the lanes
-    // block on slot acquisition and the gather stage backs work up into
-    // the lane channels (prefetch depth 1 bounds each channel at 1).
+    // recycled), both rings' single slots stay occupied, so the producer
+    // gathers iteration 1 and then blocks taking its first staging slot.
     let (mut feed, quotas) = ring_fixture::feed(2, 1, 1);
     let held = feed.obtain(0, &quotas).expect("first iteration");
     assert_eq!(held.slots.len(), 2, "iteration 0 holds both rings' slots");
-    // give the producer time to wedge its lanes against the held slots
+    // give the producer time to wedge against the held slots
     std::thread::sleep(std::time::Duration::from_millis(50));
     assert_eq!(
         feed.buffered(),
         0,
-        "nothing can assemble while slots are held"
+        "nothing can be queued while slots are held"
     );
 
     // release the held slots only after the producer fully wedged, then

@@ -77,7 +77,7 @@ fn pipeline_simulator_agrees_with_analytic_model() {
     let (split, threads) = pm.settled_mapping(&ds);
     let times = pm.stage_times_runtime(&ds, &split, &threads);
     let costs = PipelineStageCosts::from_stage_times(&times);
-    let run = simulate_pipeline(&costs, 60, 2);
+    let run = simulate_pipeline(&costs, &[costs.transfer], 60, 2, 0, 1);
     let analytic = times.pipelined_iteration();
     assert!(
         (run.steady_gap - analytic).abs() / analytic < 1e-9,

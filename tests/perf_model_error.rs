@@ -60,15 +60,13 @@ fn scalability_trends_match_fig9() {
 }
 
 /// Per-lane transfer model: with ≥ 2 accelerators in a transfer-bound
-/// regime, concurrent per-accelerator transfer lanes must predict a
-/// *strictly* smaller epoch wall than the serialized single-transfer-
-/// thread model (which pays the sum of the lane times per iteration);
-/// with 1 accelerator the two models must agree exactly.
+/// regime, concurrent per-accelerator round-trips must predict a
+/// *strictly* smaller epoch wall than one round-trip at a time (which
+/// pays the sum of the lane times per iteration); with 1 accelerator the
+/// concurrency cap must not matter at all.
 #[test]
 fn concurrent_lanes_beat_serialized_transfer_when_transfer_bound() {
-    use hyscale::core::pipeline::{
-        simulate_pipeline_multilane, simulate_pipeline_ringed, PipelineStageCosts,
-    };
+    use hyscale::core::pipeline::{simulate_pipeline, PipelineStageCosts};
 
     // products + GCN is the paper's PCIe-bound regime (§VI-D); the
     // model's own per-lane wire times drive the comparison
@@ -95,11 +93,9 @@ fn concurrent_lanes_beat_serialized_transfer_when_transfer_bound() {
 
     let n = 40;
     for (depth, ring) in [(2usize, 2usize), (3, 2), (2, 1)] {
-        let serialized =
-            simulate_pipeline_multilane(&costs, &lane_times, n, depth, ring, 1).makespan;
+        let serialized = simulate_pipeline(&costs, &lane_times, n, depth, ring, 1).makespan;
         let concurrent =
-            simulate_pipeline_multilane(&costs, &lane_times, n, depth, ring, lane_times.len())
-                .makespan;
+            simulate_pipeline(&costs, &lane_times, n, depth, ring, lane_times.len()).makespan;
         assert!(
             concurrent < serialized - 1e-9,
             "depth {depth} ring {ring}: concurrent lanes must strictly beat the \
@@ -108,8 +104,8 @@ fn concurrent_lanes_beat_serialized_transfer_when_transfer_bound() {
         );
     }
 
-    // 1 accelerator: lane concurrency is vacuous — the multilane model
-    // must agree with the serialized (ringed) model exactly, at any cap
+    // 1 accelerator: lane concurrency is vacuous — caps 1 and 4 must
+    // agree exactly
     let mut cfg1 = cfg.clone();
     cfg1.platform.num_accelerators = 1;
     let pm1 = PerfModel::new(&cfg1);
@@ -123,14 +119,12 @@ fn concurrent_lanes_beat_serialized_transfer_when_transfer_bound() {
         transfer: lanes1[0],
         propagate: times1.propagation(),
     };
-    let reference = simulate_pipeline_ringed(&costs1, n, 2, 2);
-    for cap in [1usize, 4] {
-        let lane_run = simulate_pipeline_multilane(&costs1, &lanes1, n, 2, 2, cap);
-        assert_eq!(
-            reference.completions, lane_run.completions,
-            "single-accelerator models must agree exactly (cap {cap})"
-        );
-    }
+    let one = simulate_pipeline(&costs1, &lanes1, n, 2, 2, 1);
+    let four = simulate_pipeline(&costs1, &lanes1, n, 2, 2, 4);
+    assert_eq!(
+        one.completions, four.completions,
+        "a single accelerator's wall must not depend on the concurrency cap"
+    );
 }
 
 #[test]

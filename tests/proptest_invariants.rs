@@ -277,14 +277,15 @@ proptest! {
 
 /// Train two epochs of a small hybrid configuration under a scripted
 /// DRM schedule, returning the flattened weights and per-epoch losses.
-/// Every run of this function with the same `(depth, ring_depth,
-/// transfer_lanes)` and schedule must agree bitwise; runs with
-/// *different* depths and lane caps must agree too — that is the
-/// property under test.
+/// `loader` is the initial loader-pool width (of 16 threads), which is
+/// also the producer's round-trip concurrency. Every run of this
+/// function with the same `(depth, ring_depth, loader)` and schedule
+/// must agree bitwise; runs with *different* depths and loader widths
+/// must agree too — that is the property under test.
 fn run_scheduled(
     depth: usize,
     ring_depth: usize,
-    transfer_lanes: usize,
+    loader: usize,
     schedule: &[ScriptedDrmEvent],
 ) -> (Vec<f32>, Vec<f32>) {
     let ds = hyscale::graph::Dataset::toy(41);
@@ -301,9 +302,13 @@ fn run_scheduled(
     cfg.train.max_functional_iters = Some(6);
     cfg.train.prefetch_depth = depth;
     cfg.train.staging_ring_depth = ring_depth;
-    cfg.train.transfer_lanes = transfer_lanes;
     let mut t = HybridTrainer::new(cfg, ds);
-    t.set_mapping(WorkloadSplit::new(32, 96, 2), ThreadAlloc::default_for(16));
+    let threads = ThreadAlloc {
+        sampler: 4,
+        loader,
+        trainer: 12 - loader,
+    };
+    t.set_mapping(WorkloadSplit::new(32, 96, 2), threads);
     t.set_drm_schedule(schedule.to_vec());
     let reports = t.train_epochs(2);
     let losses = reports.iter().map(|r| r.loss).collect();
@@ -315,15 +320,15 @@ proptest! {
     // PROPTEST_CASES=64 on main pushes.
     #![proptest_config(ProptestConfig::env_or(6))]
 
-    /// The randomized DRM-schedule equivalence harness, extended to the
-    /// multi-lane producer: a random interleaving of `balance_work`
-    /// (random deltas, including explicit zero-diff moves),
-    /// `balance_thread`, and no-op events at random iterations must
-    /// train bitwise-identical weights and losses to serial execution
-    /// for every transfer-lane cap {1, 2, 4} × prefetch depth {1, 2} ×
-    /// staging-ring depth {1, 2}. This is what licenses the producer
-    /// restart on a quota change to re-map mid-epoch, and the lane gate
-    /// to re-time round-trips freely.
+    /// The randomized DRM-schedule equivalence harness: a random
+    /// interleaving of `balance_work` (random deltas, including
+    /// explicit zero-diff moves), `balance_thread`, and no-op events at
+    /// random iterations must train bitwise-identical weights and
+    /// losses to serial execution for every initial loader width
+    /// {1, 2, 4} × prefetch depth {1, 2} × staging-ring depth {1, 2}.
+    /// This is what licenses the producer restart on a quota change to
+    /// re-map mid-epoch, and the loader fan-out to re-time round-trips
+    /// freely.
     #[test]
     fn random_drm_schedules_are_bitwise_equivalent(
         raw in prop::collection::vec(
@@ -348,20 +353,20 @@ proptest! {
                 ScriptedDrmEvent { epoch, iter, action }
             })
             .collect();
-        let (serial_params, serial_losses) = run_scheduled(0, 2, 0, &schedule);
-        for lanes in [1usize, 2, 4] {
+        let (serial_params, serial_losses) = run_scheduled(0, 2, 4, &schedule);
+        for loader in [1usize, 2, 4] {
             for ring_depth in [1usize, 2] {
                 for depth in [1usize, 2] {
-                    let (params, losses) = run_scheduled(depth, ring_depth, lanes, &schedule);
+                    let (params, losses) = run_scheduled(depth, ring_depth, loader, &schedule);
                     prop_assert_eq!(
                         &serial_params, &params,
-                        "lanes {} depth {} ring {} diverged from serial under {:?}",
-                        lanes, depth, ring_depth, schedule
+                        "loader {} depth {} ring {} diverged from serial under {:?}",
+                        loader, depth, ring_depth, schedule
                     );
                     prop_assert_eq!(
                         &serial_losses, &losses,
-                        "lanes {} depth {} ring {} changed the loss trajectory under {:?}",
-                        lanes, depth, ring_depth, schedule
+                        "loader {} depth {} ring {} changed the loss trajectory under {:?}",
+                        loader, depth, ring_depth, schedule
                     );
                 }
             }
@@ -371,12 +376,12 @@ proptest! {
 
 /// The lane-starvation script: a scripted schedule that repeatedly
 /// slams nearly the whole batch onto the CPU trainer (leaving each
-/// accelerator lane the 1-seed minimum — fat CPU batches, starved lane
-/// channels) and then back, at the tightest pipeline configuration
-/// (prefetch 1, ring 1) where one lane's channel is full while the
-/// others idle. Bitwise equivalence with serial must survive for every
-/// transfer-lane cap, and so must a prefetch depth deep enough for the
-/// channels to actually back up.
+/// accelerator the 1-seed minimum — a fat CPU batch next to starved
+/// accelerator round-trips) and then back, at the tightest pipeline
+/// configuration (prefetch 1, ring 1) where the producer waits on a
+/// staging slot every iteration. Bitwise equivalence with serial must
+/// survive for every initial loader width, and so must a prefetch depth
+/// deep enough for the queue to actually back up.
 #[test]
 fn lane_starvation_script_is_bitwise_equivalent() {
     let schedule: Vec<ScriptedDrmEvent> = vec![
@@ -404,18 +409,18 @@ fn lane_starvation_script_is_bitwise_equivalent() {
             action: ScriptedDrm::BalanceWork { to_cpu: 0 },
         },
     ];
-    let (serial_params, serial_losses) = run_scheduled(0, 2, 0, &schedule);
-    for lanes in [1usize, 2, 4] {
+    let (serial_params, serial_losses) = run_scheduled(0, 2, 4, &schedule);
+    for loader in [1usize, 2, 4] {
         for (depth, ring_depth) in [(1usize, 1usize), (2, 1), (2, 2)] {
-            let (params, losses) = run_scheduled(depth, ring_depth, lanes, &schedule);
+            let (params, losses) = run_scheduled(depth, ring_depth, loader, &schedule);
             assert_eq!(
                 serial_params, params,
-                "starvation script: lanes {lanes} depth {depth} ring {ring_depth} \
+                "starvation script: loader {loader} depth {depth} ring {ring_depth} \
                  diverged from serial"
             );
             assert_eq!(
                 serial_losses, losses,
-                "starvation script: lanes {lanes} depth {depth} ring {ring_depth} \
+                "starvation script: loader {loader} depth {depth} ring {ring_depth} \
                  changed the loss trajectory"
             );
         }
