@@ -6,10 +6,12 @@
 //! Loader gathers `X'` from CPU memory, accelerator batches are
 //! "transferred" over the PCIe model, and every trainer (one CPU trainer
 //! when hybrid, plus one per accelerator) runs forward/backward
-//! concurrently under the Processor–Accelerator Training Protocol. The
-//! Synchronizer averages gradients (size-weighted) and every replica
-//! applies the same update — so the functional math is *identical* to
-//! sequential large-batch SGD regardless of the DRM's re-balancing.
+//! concurrently on its own scoped thread. Joining those threads in
+//! trainer order is the iteration's one barrier (a trainer's panic is
+//! re-raised there); the Synchronizer then averages the gradients
+//! (size-weighted, in trainer order) and every replica applies the same
+//! update — so the functional math is *identical* to sequential
+//! large-batch SGD regardless of the DRM's re-balancing.
 //!
 //! ## Real vs. simulated timing
 //!
@@ -34,12 +36,11 @@ use crate::config::SystemConfig;
 use crate::drm::{DrmAction, DrmEngine, ScriptedDrm, ScriptedDrmEvent, ThreadAlloc, WorkloadSplit};
 use crate::perf_model::{compute_stage_times, PerfModel, StageInputs};
 use crate::prefetch::{IterationFeed, MatrixPool, PrepareCtx, PreparedIteration, StagingRings};
-use crate::protocol::TrainingRound;
 use crate::report::{EpochReport, IterationReport, WallStageTimes};
 use crate::stages::StageWorkers;
 use crate::sync::Synchronizer;
 use hyscale_device::calib;
-use hyscale_gnn::{GnnModel, Gradients};
+use hyscale_gnn::{GnnModel, Gradients, StepOutput};
 use hyscale_graph::features::gather_features;
 use hyscale_graph::Dataset;
 use hyscale_sampler::{EpochBatcher, MiniBatch, NeighborSampler, WorkloadStats};
@@ -299,7 +300,6 @@ impl HybridTrainer {
         );
 
         let mut trace = Vec::with_capacity(functional_iters);
-        let mut sum_iter_time = 0.0f64;
         let mut last_loss = f32::NAN;
         let mut last_acc = 0.0f32;
         // Propagation windows (relative to `origin`) of completed
@@ -353,7 +353,7 @@ impl HybridTrainer {
                 })
                 .collect();
 
-            // --- GNN Propagation under the training protocol ---
+            // --- GNN Propagation: one trainer per batch, then all-reduce ---
             let train_wall = Instant::now();
             let train_window_start = origin.elapsed().as_secs_f64();
             let labels_of = |seeds: &[u32]| -> Vec<u32> {
@@ -373,19 +373,15 @@ impl HybridTrainer {
                 })
                 .collect();
 
-            let round = Arc::new(TrainingRound::new(work.len()));
+            // One scoped thread per trainer; joining them in trainer order
+            // is the barrier, and a trainer's panic is re-raised here.
             let model = &self.model;
-            let sync = &self.sync;
             let workers = &self.workers;
             let hybrid = self.cfg.opt.hybrid;
-            let mut results: Vec<(usize, f32, f32, usize)> = Vec::with_capacity(work.len());
-            let mut averaged: Option<Arc<Gradients>> = None;
-            std::thread::scope(|scope| {
+            let results: Vec<(usize, StepOutput)> = std::thread::scope(|scope| {
                 let handles: Vec<_> = work
                     .iter()
-                    .enumerate()
-                    .map(|(slot, (idx, mb, x, labels))| {
-                        let round = Arc::clone(&round);
+                    .map(|(idx, mb, x, labels)| {
                         scope.spawn(move || {
                             // The CPU trainer's kernels run under the
                             // trainer pool's width; accelerator trainers
@@ -397,24 +393,27 @@ impl HybridTrainer {
                             } else {
                                 model.train_step(mb, x, labels)
                             };
-                            let batch = labels.len();
-                            let loss = out.loss;
-                            let acc = out.accuracy;
-                            // DONE++, wait for broadcast (Listing 1)
-                            let _avg = round.trainer_done(slot, out.grads);
-                            round.trainer_ack();
-                            (*idx, loss, acc, batch)
+                            (labels.len(), out)
                         })
                     })
                     .collect();
-                // Runtime thread: synchronize + wait for ACKs
-                averaged = Some(round.synchronize(sync));
-                round.runtime_wait_acks();
-                for h in handles {
-                    results.push(h.join().expect("trainer thread panicked"));
-                }
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .collect()
             });
-            let averaged = averaged.expect("synchronizer ran");
+            let total_seeds: usize = results.iter().map(|(n, _)| n).sum();
+            let seed_mean = |f: fn(&StepOutput) -> f32| {
+                results
+                    .iter()
+                    .map(|(n, out)| f(out) * *n as f32)
+                    .sum::<f32>()
+                    / total_seeds as f32
+            };
+            last_loss = seed_mean(|out| out.loss);
+            last_acc = seed_mean(|out| out.accuracy);
+            let parts: Vec<Gradients> = results.into_iter().map(|(_, out)| out.grads).collect();
+            let averaged = self.sync.all_reduce(&parts);
             // Identical update applied to the (conceptually replicated)
             // model — replicas stay in lock-step.
             self.model
@@ -459,10 +458,6 @@ impl HybridTrainer {
             // transfer stage can ship the next batch into them.
             drop(slots);
 
-            let total_seeds: usize = results.iter().map(|r| r.3).sum();
-            last_loss = results.iter().map(|r| r.1 * r.3 as f32).sum::<f32>() / total_seeds as f32;
-            last_acc = results.iter().map(|r| r.2 * r.3 as f32).sum::<f32>() / total_seeds as f32;
-
             // --- Timing layer ---
             let inputs = StageInputs {
                 cpu_stats: &cpu_stats,
@@ -479,7 +474,6 @@ impl HybridTrainer {
             } else {
                 times.serial_iteration()
             };
-            sum_iter_time += iter_time;
             let edges: u64 = cpu_stats.total_edges()
                 + accel_stats
                     .iter()
@@ -581,7 +575,6 @@ impl HybridTrainer {
         let prefetch_restarts = feed.restarts();
         feed.finish();
 
-        let _ = sum_iter_time;
         // Steady-state iteration time: skip the first half of the trace
         // while the DRM is still settling from the coarse design-time
         // mapping (the paper measures warmed-up epochs).
@@ -780,6 +773,42 @@ mod tests {
             "serial iterations transfer inline between propagations"
         );
         assert_eq!(r.wall_stages.transfer_overlap_ratio(), 0.0);
+    }
+
+    #[test]
+    fn trainer_panic_is_reraised_by_train_epoch() {
+        for depth in [0usize, 2] {
+            let mut ds = Dataset::toy(3);
+            let bad = ds.data.num_classes as u32 + 7;
+            for &s in &ds.splits.train {
+                ds.data.labels[s as usize] = bad;
+            }
+            let mut cfg = toy_config(OptFlags::full());
+            cfg.train.prefetch_depth = depth;
+            // Train on a helper thread so a hang fails the test instead
+            // of stalling the suite.
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let mut t = HybridTrainer::new(cfg, ds);
+                let outcome =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.train_epoch()));
+                let message = outcome.err().map(|e| {
+                    e.downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| e.downcast_ref::<&str>().map(|m| m.to_string()))
+                        .unwrap_or_default()
+                });
+                let _ = tx.send(message);
+            });
+            let message = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("depth {depth}: train_epoch hung on a trainer panic"))
+                .unwrap_or_else(|| panic!("depth {depth}: train_epoch returned normally"));
+            assert!(
+                message.contains("out of range"),
+                "depth {depth}: unexpected panic {message:?}"
+            );
+        }
     }
 
     #[test]

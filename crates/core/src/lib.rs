@@ -2,11 +2,6 @@
 //!
 //! The HyScale-GNN training system (the paper's primary contribution):
 //!
-//! * [`protocol`] — the Processor–Accelerator Training Protocol
-//!   (paper §III-C, Listing 1): DONE/ACK handshakes between trainer
-//!   threads, the synchronizer, and the runtime, built on
-//!   `parking_lot` mutex/condvar exactly like the paper's Pthreads
-//!   implementation.
 //! * [`sync`] — the Synchronizer: size-weighted gradient all-reduce
 //!   (gather → average → broadcast, paper §III-A).
 //! * [`drm`] — the Dynamic Resource Management engine (paper
@@ -47,7 +42,6 @@ pub mod metrics;
 pub mod perf_model;
 pub mod pipeline;
 pub mod prefetch;
-pub mod protocol;
 pub mod report;
 pub mod stages;
 pub mod sync;

@@ -198,14 +198,14 @@ impl PerfModel {
             .sum()
     }
 
-    /// Predicted stage times for a given mapping (no runtime overheads —
-    /// the paper's Eq. 5–13 exactly).
-    pub fn stage_times(
+    /// Run `f` over the [`StageInputs`] of one iteration under `split`,
+    /// with every trainer's batch at its analytic expected workload.
+    fn with_analytic_inputs<R>(
         &self,
         dataset: &DatasetSpec,
         split: &WorkloadSplit,
-        threads: &ThreadAlloc,
-    ) -> StageTimes {
+        f: impl FnOnce(&StageInputs<'_>) -> R,
+    ) -> R {
         let cpu_stats = self.analytic_workload(dataset, split.cpu_quota);
         let accel_stats: Vec<WorkloadStats> = (0..split.num_accelerators)
             .map(|i| self.analytic_workload(dataset, split.accel_quota(i)))
@@ -220,7 +220,20 @@ impl PerfModel {
             sampling_on_accel: split.sampling_on_accel,
             precision: self.train.transfer_precision,
         };
-        compute_stage_times(&self.platform, threads, &inputs, false)
+        f(&inputs)
+    }
+
+    /// Predicted stage times for a given mapping (no runtime overheads —
+    /// the paper's Eq. 5–13 exactly).
+    pub fn stage_times(
+        &self,
+        dataset: &DatasetSpec,
+        split: &WorkloadSplit,
+        threads: &ThreadAlloc,
+    ) -> StageTimes {
+        self.with_analytic_inputs(dataset, split, |inputs| {
+            compute_stage_times(&self.platform, threads, inputs, false)
+        })
     }
 
     /// Stage times *with* runtime overheads (kernel launch) — the
@@ -232,21 +245,9 @@ impl PerfModel {
         split: &WorkloadSplit,
         threads: &ThreadAlloc,
     ) -> StageTimes {
-        let cpu_stats = self.analytic_workload(dataset, split.cpu_quota);
-        let accel_stats: Vec<WorkloadStats> = (0..split.num_accelerators)
-            .map(|i| self.analytic_workload(dataset, split.accel_quota(i)))
-            .collect();
-        let dims = self.dims(dataset);
-        let inputs = StageInputs {
-            cpu_stats: &cpu_stats,
-            accel_stats: &accel_stats,
-            dims: &dims,
-            width_factor: self.train.model.update_width_factor(),
-            model_bytes: self.model_bytes(dataset),
-            sampling_on_accel: split.sampling_on_accel,
-            precision: self.train.transfer_precision,
-        };
-        compute_stage_times(&self.platform, threads, &inputs, true)
+        self.with_analytic_inputs(dataset, split, |inputs| {
+            compute_stage_times(&self.platform, threads, inputs, true)
+        })
     }
 
     /// Predicted iteration time (Eq. 6 when prefetching pipelines the
@@ -270,21 +271,9 @@ impl PerfModel {
     /// model quantify what concurrent round-trips buy over one at a time
     /// for this dataset and split.
     pub fn lane_transfer_times(&self, dataset: &DatasetSpec, split: &WorkloadSplit) -> Vec<f64> {
-        let cpu_stats = self.analytic_workload(dataset, split.cpu_quota);
-        let accel_stats: Vec<WorkloadStats> = (0..split.num_accelerators)
-            .map(|i| self.analytic_workload(dataset, split.accel_quota(i)))
-            .collect();
-        let dims = self.dims(dataset);
-        let inputs = StageInputs {
-            cpu_stats: &cpu_stats,
-            accel_stats: &accel_stats,
-            dims: &dims,
-            width_factor: self.train.model.update_width_factor(),
-            model_bytes: self.model_bytes(dataset),
-            sampling_on_accel: split.sampling_on_accel,
-            precision: self.train.transfer_precision,
-        };
-        per_lane_transfer_times(&self.platform, &inputs)
+        self.with_analytic_inputs(dataset, split, |inputs| {
+            per_lane_transfer_times(&self.platform, inputs)
+        })
     }
 
     /// Optimal sampling share for the accelerators given the CPU

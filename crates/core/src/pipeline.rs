@@ -386,22 +386,25 @@ mod tests {
 
     #[test]
     fn double_buffer_hides_transfer_when_compute_dominates() {
-        let c = costs(0.1, 0.1, 2.0, 3.0);
-        let ring2 = ringed(&c, 40, 4, 2);
-        // double buffering recovers the idealized bottleneck bound
-        assert!(
-            (ring2.steady_gap - c.bottleneck()).abs() < 1e-9,
-            "ring-2 steady gap {} vs bottleneck {}",
-            ring2.steady_gap,
-            c.bottleneck()
-        );
-        let ring1 = ringed(&c, 40, 4, 1);
-        assert!(
-            ring2.makespan < ring1.makespan,
-            "deeper ring must hide transfer time: {} vs {}",
-            ring2.makespan,
-            ring1.makespan
-        );
+        // compute-bound, then transfer-bound (compute 0.04 s < wire
+        // 0.1 s: the gap is the wire time, the compute hides instead)
+        for c in [costs(0.1, 0.1, 2.0, 3.0), costs(0.0, 0.0, 0.1, 0.04)] {
+            let ring2 = ringed(&c, 40, 4, 2);
+            // double buffering recovers the idealized bottleneck bound
+            assert!(
+                (ring2.steady_gap - c.bottleneck()).abs() < 1e-9,
+                "ring-2 steady gap {} vs bottleneck {}",
+                ring2.steady_gap,
+                c.bottleneck()
+            );
+            let ring1 = ringed(&c, 40, 4, 1);
+            assert!(
+                ring2.makespan < ring1.makespan,
+                "deeper ring must hide transfer time: {} vs {}",
+                ring2.makespan,
+                ring1.makespan
+            );
+        }
     }
 
     #[test]

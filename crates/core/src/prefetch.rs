@@ -29,7 +29,6 @@
 //! compute of batch `i`. Ring depth 1 is a single staging buffer: the
 //! producer waits for the previous batch's propagation before shipping
 //! the next, exactly like the `ring_depth = 1` case of
-//! `hyscale_device::stage::StagingModel` and of
 //! [`crate::pipeline::simulate_pipeline`], which also models the
 //! fan-out's round-trip concurrency.
 //!

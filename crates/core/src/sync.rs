@@ -1,10 +1,11 @@
 //! The Synchronizer: gradient all-reduce (paper §III-A).
 //!
-//! Gathers per-trainer gradients, computes the batch-size-weighted
-//! average, and broadcasts it back (through [`crate::protocol`]). The
-//! weighting keeps hybrid training with unequal CPU/accelerator quotas
-//! *algorithmically identical* to single-device training with one large
-//! batch (paper §II-B), which the workspace's equivalence tests assert.
+//! Gathers per-trainer gradients and computes the batch-size-weighted
+//! average, which the runtime ([`crate::executor`]) applies to the
+//! replicated model. The weighting keeps hybrid training with unequal
+//! CPU/accelerator quotas *algorithmically identical* to single-device
+//! training with one large batch (paper §II-B), which the workspace's
+//! equivalence tests assert.
 
 use hyscale_gnn::Gradients;
 
@@ -19,24 +20,16 @@ impl Synchronizer {
         Self
     }
 
-    /// Gather + weighted-average (the reduce step of the all-reduce; the
-    /// broadcast is performed by the protocol round).
+    /// Gather + weighted-average in `parts` order (the reduce step of the
+    /// all-reduce; the runtime applies the result to every replica).
     pub fn all_reduce(&self, parts: &[Gradients]) -> Gradients {
         Gradients::weighted_average(parts)
-    }
-
-    /// Eq. 13: synchronization time — the model crosses PCIe twice
-    /// (gather then broadcast) per accelerator-resident trainer; parallel
-    /// links make this independent of accelerator count.
-    pub fn sync_time(&self, model_bytes: u64, pcie: &hyscale_device::PcieLink) -> f64 {
-        pcie.allreduce_time(model_bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyscale_device::PcieLink;
     use hyscale_tensor::Matrix;
 
     fn grad(v: f32, batch: usize) -> Gradients {
@@ -52,14 +45,5 @@ mod tests {
         let s = Synchronizer::new();
         let avg = s.all_reduce(&[grad(2.0, 10), grad(6.0, 30)]);
         assert!((avg.d_weights[0][(0, 0)] - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sync_time_eq13() {
-        let s = Synchronizer::new();
-        let pcie = PcieLink::new(10.0, 0.0);
-        // 1 MB model: 2 crossings at 10 GB/s
-        let t = s.sync_time(1_000_000, &pcie);
-        assert!((t - 2.0 * 1e6 / 10e9).abs() < 1e-12);
     }
 }

@@ -32,7 +32,6 @@ pub mod spec;
 pub mod stage;
 pub mod timing;
 
-pub use pcie::{LinkOccupancy, PcieLink, TransferWindow};
+pub use pcie::PcieLink;
 pub use spec::{DeviceKind, DeviceSpec, ALVEO_U250, EPYC_7763, RTX_A5000};
-pub use stage::StagingModel;
 pub use timing::{CpuTiming, FpgaTiming, GpuTiming, TrainerTiming};

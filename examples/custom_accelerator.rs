@@ -1,5 +1,5 @@
-//! The protocol is accelerator-agnostic (paper §III-C): plug in a custom
-//! AI-accelerator timing model and the whole system — protocol, DRM,
+//! The trainer is accelerator-agnostic (paper §III-C): plug in a custom
+//! AI-accelerator timing model and the whole system — all-reduce, DRM,
 //! prefetching, performance model — works unchanged.
 //!
 //! This example defines a fictional "TPU-like" systolic accelerator and

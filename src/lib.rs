@@ -12,7 +12,7 @@
 //! * [`gnn`] — GCN and GraphSAGE with hand-derived backward passes.
 //! * [`device`] — simulated heterogeneous devices (Table II specs, PCIe,
 //!   FPGA kernel + resource models, GPU cache model).
-//! * [`core`] — the HyScale-GNN system: training protocol, two-stage
+//! * [`core`] — the HyScale-GNN system: gradient all-reduce, two-stage
 //!   feature prefetching, DRM engine, performance model, hybrid trainer.
 //! * [`baselines`] — PyG multi-GPU, PaGraph, P3, DistDGLv2 system models.
 //!

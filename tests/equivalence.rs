@@ -13,16 +13,15 @@
 //!   serial execution, including across DRM re-mapping events;
 //! * replicas stay in bitwise lock-step across iterations.
 
-use hyscale::core::protocol::TrainingRound;
 use hyscale::core::sync::Synchronizer;
 use hyscale::core::{AcceleratorKind, HybridTrainer, OptFlags, SystemConfig};
 use hyscale::gnn::{GnnKind, GnnModel, Gradients};
 use hyscale::graph::features::gather_features;
 use hyscale::graph::Dataset;
 use hyscale::sampler::NeighborSampler;
-use std::sync::Arc;
 
-/// Parallel protocol all-reduce == sequential weighted average, exactly.
+/// Parallel trainers joined in order, then all-reduced == sequential
+/// weighted average, exactly.
 #[test]
 fn parallel_allreduce_matches_sequential() {
     let ds = Dataset::toy(3);
@@ -51,24 +50,19 @@ fn parallel_allreduce_matches_sequential() {
         .collect();
     let seq_avg = Gradients::weighted_average(&seq_parts);
 
-    // parallel via the training protocol
-    let round = Arc::new(TrainingRound::new(3));
+    // parallel: one scoped thread per trainer, joined in trainer order
     let sync = Synchronizer::new();
-    let mut par_avg = None;
-    std::thread::scope(|s| {
-        for (i, (mb, x, l)) in work.iter().enumerate() {
-            let round = Arc::clone(&round);
-            let model = &model;
-            s.spawn(move || {
-                let out = model.train_step(mb, x, l);
-                round.trainer_done(i, out.grads);
-                round.trainer_ack();
-            });
-        }
-        par_avg = Some(round.synchronize(&sync));
-        round.runtime_wait_acks();
+    let par_parts: Vec<Gradients> = std::thread::scope(|s| {
+        let handles: Vec<_> = work
+            .iter()
+            .map(|(mb, x, l)| {
+                let model = &model;
+                s.spawn(move || model.train_step(mb, x, l).grads)
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    let par_avg = par_avg.unwrap();
+    let par_avg = sync.all_reduce(&par_parts);
 
     assert_eq!(par_avg.batch_size, seq_avg.batch_size);
     for (a, b) in par_avg.d_weights.iter().zip(&seq_avg.d_weights) {
