@@ -327,10 +327,7 @@ impl HybridTrainer {
                 features,
                 sample_wall_s,
                 load_wall_s,
-                transfer_wall_s,
-                transfer_span,
-                lane_transfer_walls,
-                lane_transfer_spans,
+                round_trips,
                 slots,
                 threads: observed_threads,
                 ..
@@ -421,32 +418,30 @@ impl HybridTrainer {
             let train_wall_s = train_wall.elapsed().as_secs_f64();
             let train_window_end = origin.elapsed().as_secs_f64();
 
-            // How much of each lane's wire round-trip ran while we were
+            // How much of each batch's wire round-trip ran while we were
             // inside the propagation of an earlier batch — the transfer
-            // time that lane's staging ring hid. Serial execution
-            // transfers inline between propagations, so this is
-            // naturally zero. Transfer spans are stamped in iteration
-            // order, so a window that ended before the union span began
-            // can never overlap a later span either — pruning keeps the
+            // time its staging ring hid. Serial execution transfers
+            // inline between propagations, so this is naturally zero.
+            // Round-trips are stamped in iteration order, so a window
+            // that ended before this iteration's first round-trip began
+            // can never overlap a later one either — pruning keeps the
             // scan O(in-flight), not O(epoch).
-            train_windows.retain(|&(_, e)| e > transfer_span.0);
-            let lane_transfer_hidden_s: Vec<f64> = lane_transfer_spans
+            let first_start = round_trips
                 .iter()
-                .zip(&lane_transfer_walls)
-                .map(|(span, &wall)| {
-                    span.map_or(0.0, |(s0, s1)| {
-                        train_windows
-                            .iter()
-                            .map(|&(s, e)| (s1.min(e) - s0.max(s)).max(0.0))
-                            .sum::<f64>()
-                            .min(wall)
-                    })
+                .map(|&(_, (s0, _))| s0)
+                .fold(f64::INFINITY, f64::min);
+            train_windows.retain(|&(_, e)| e > first_start);
+            let transfer_wall_s: f64 = round_trips.iter().map(|&(wall, _)| wall).sum();
+            let transfer_hidden_s: f64 = round_trips
+                .iter()
+                .map(|&(wall, (s0, s1))| {
+                    train_windows
+                        .iter()
+                        .map(|&(s, e)| (s1.min(e) - s0.max(s)).max(0.0))
+                        .sum::<f64>()
+                        .min(wall)
                 })
-                .collect();
-            let transfer_hidden_s = lane_transfer_hidden_s
-                .iter()
-                .sum::<f64>()
-                .min(transfer_wall_s);
+                .sum();
             train_windows.push((train_window_start, train_window_end));
 
             // Feature matrices go back for reuse — accelerator batches
@@ -560,8 +555,6 @@ impl HybridTrainer {
                     load_s: load_wall_s,
                     transfer_s: transfer_wall_s,
                     transfer_hidden_s,
-                    lane_transfer_s: lane_transfer_walls,
-                    lane_transfer_hidden_s,
                     train_s: train_wall_s,
                     iter_s: iter_wall.elapsed().as_secs_f64(),
                     batches_salvaged: 0,

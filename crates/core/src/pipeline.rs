@@ -37,20 +37,6 @@ impl PipelineStageCosts {
         }
     }
 
-    /// Extract pipeline costs from *measured host wall-clock* stage
-    /// times (see [`crate::report::WallStageTimes`]). This lets the
-    /// discrete-event simulator predict what the real prefetching
-    /// executor should achieve at a given depth — the bench harness
-    /// compares that prediction against the measured epoch wall.
-    pub fn from_wall(w: &crate::report::WallStageTimes) -> Self {
-        Self {
-            sample: w.sample_s,
-            load: w.load_s,
-            transfer: w.transfer_s,
-            propagate: w.train_s,
-        }
-    }
-
     fn as_array(&self) -> [f64; 4] {
         [self.sample, self.load, self.transfer, self.propagate]
     }
@@ -344,24 +330,6 @@ mod tests {
         assert_eq!(c.transfer, 4.0);
         assert_eq!(c.propagate, 6.5);
         assert_eq!(c.bottleneck(), 6.5);
-    }
-
-    #[test]
-    fn from_wall_maps_measured_stages() {
-        let w = crate::report::WallStageTimes {
-            sample_s: 0.5,
-            load_s: 1.5,
-            transfer_s: 0.25,
-            train_s: 2.0,
-            iter_s: 4.25,
-            ..Default::default()
-        };
-        let c = PipelineStageCosts::from_wall(&w);
-        assert_eq!(c.sample, 0.5);
-        assert_eq!(c.load, 1.5);
-        assert_eq!(c.transfer, 0.25);
-        assert_eq!(c.propagate, 2.0);
-        assert!((c.serial() - w.serial_sum()).abs() < 1e-12);
     }
 
     #[test]

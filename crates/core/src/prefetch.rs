@@ -46,15 +46,15 @@
 //! request names the iteration and quotas it needs, and when they differ
 //! from what the live producer generation will deliver next, the feed
 //! shuts that generation down, recycles everything it had queued or in
-//! flight, records one drain on every staging ring, and respawns the
-//! producer at the requested iteration under the new quotas. A
-//! restarted generation has a fresh channel, so nothing prepared under
-//! the old plan can reach the consumer. Equal quotas cost nothing, so a
-//! zero-diff move — or a burst of moves that cancels out before the next
-//! request — needs no special case. `tests/equivalence.rs` and the
-//! randomized DRM-schedule harness in `tests/proptest_invariants.rs` pin
-//! weights bitwise across prefetch depths {0, 1, 2, 4} × ring depths
-//! {1, 2} × loader widths {1, 2, 4} including across re-mapping events.
+//! flight, and respawns the producer at the requested iteration under
+//! the new quotas. A restarted generation has a fresh channel, so
+//! nothing prepared under the old plan can reach the consumer. Equal
+//! quotas cost nothing, so a zero-diff move — or a burst of moves that
+//! cancels out before the next request — needs no special case.
+//! `tests/equivalence.rs` and the randomized DRM-schedule harness in
+//! `tests/proptest_invariants.rs` pin weights bitwise across prefetch
+//! depths {0, 1, 2, 4} × ring depths {1, 2} × loader widths {1, 2, 4}
+//! including across re-mapping events.
 //!
 //! ## Producer failure
 //!
@@ -178,7 +178,6 @@ pub struct StagingRing {
     depth: usize,
     state: Mutex<RingState>,
     cv: Condvar,
-    drains: AtomicUsize,
 }
 
 #[derive(Default)]
@@ -194,7 +193,6 @@ impl StagingRing {
             depth: depth.max(1),
             state: Mutex::new(RingState::default()),
             cv: Condvar::new(),
-            drains: AtomicUsize::new(0),
         }
     }
 
@@ -206,12 +204,6 @@ impl StagingRing {
     /// Slots currently occupied by a batch in transfer or in compute.
     pub fn in_flight(&self) -> usize {
         self.state.lock().in_flight
-    }
-
-    /// Times this ring has been drained by a quota-change restart of
-    /// the producer (every restart drains every ring once).
-    pub fn drains(&self) -> usize {
-        self.drains.load(Ordering::Relaxed)
     }
 
     /// Occupy a slot, blocking while the ring is full. Returns `false`
@@ -249,13 +241,6 @@ impl StagingRing {
     /// Return a buffer to this lane's free list for ring-aware reuse.
     pub fn put_buffer(&self, m: Matrix) {
         self.state.lock().free.push(m);
-    }
-
-    /// Record a restart drain (the staged transfers this lane held died
-    /// with the producer generation that prepared them). Buffers stay on
-    /// the free list — a drain invalidates *contents*, not allocations.
-    fn drain(&self) {
-        self.drains.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Wake any waiter so it can observe a raised stop flag. The notify
@@ -310,18 +295,6 @@ impl StagingRings {
     /// Total occupied slots across all rings.
     pub fn in_flight_total(&self) -> usize {
         self.rings.iter().map(StagingRing::in_flight).sum()
-    }
-
-    /// Total restart drain events across all rings.
-    pub fn drains_total(&self) -> usize {
-        self.rings.iter().map(StagingRing::drains).sum()
-    }
-
-    /// Record one restart drain on every ring.
-    fn drain_all(&self) {
-        for r in &self.rings {
-            r.drain();
-        }
     }
 
     /// Wake every slot waiter (producer shutdown).
@@ -450,23 +423,13 @@ pub struct PreparedIteration {
     pub sample_wall_s: f64,
     /// Wall-clock seconds of the loader fan-out (feature gathering).
     pub load_wall_s: f64,
-    /// Wall-clock seconds of the precision round-trip (the functional
-    /// stand-in for the PCIe transfer): the *aggregate* wire work, i.e.
-    /// the sum over [`lane_transfer_walls`](Self::lane_transfer_walls).
-    pub transfer_wall_s: f64,
-    /// `(start, end)` of the round-trip relative to the epoch origin
-    /// ([`PrepareCtx::origin`]) — the union over every lane's span: the
-    /// executor intersects this with its propagation windows to measure
-    /// the wire time the staging rings hid behind accelerator compute.
-    pub transfer_span: (f64, f64),
-    /// Per-accelerator-lane round-trip wall seconds (index = ring
-    /// index; `0.0` for lanes that shipped nothing this iteration).
-    pub lane_transfer_walls: Vec<f64>,
-    /// Per-lane `(start, end)` transfer spans against the epoch origin
-    /// (`None` for idle lanes) — the per-lane twin of
-    /// [`transfer_span`](Self::transfer_span), from which the executor
-    /// measures per-lane hidden-transfer time.
-    pub lane_transfer_spans: Vec<Option<(f64, f64)>>,
+    /// One `(wall, (start, end))` stamp per accelerator batch's
+    /// precision round-trip (the functional stand-in for the PCIe
+    /// transfer): its wall-clock seconds and its span relative to the
+    /// epoch origin ([`PrepareCtx::origin`]). The executor sums the
+    /// walls and intersects the spans with its propagation windows to
+    /// measure the wire time the staging rings hid behind compute.
+    pub round_trips: Vec<(f64, (f64, f64))>,
     /// Staging slots this batch occupies, one per accelerator batch —
     /// released (by drop) when the consumer finishes propagation. Empty
     /// in serial execution, which stages nothing ahead.
@@ -606,36 +569,26 @@ fn apply_transfer(
         load_wall_s,
         threads,
     } = staged;
-    let work: Vec<(usize, Mutex<&mut Matrix>)> = features
+    let work: Vec<Mutex<&mut Matrix>> = features
         .iter_mut()
         .enumerate()
-        .filter_map(|(idx, x)| Some((ctx.accel_of(idx)?, Mutex::new(x.as_mut()?))))
+        .filter_map(|(idx, x)| {
+            ctx.accel_of(idx)?;
+            Some(Mutex::new(x.as_mut()?))
+        })
         .collect();
-    // (accelerator, wall, span), stamped by the lane that round-tripped it
-    let stamps = Mutex::new(Vec::with_capacity(work.len()));
+    // (wall, span), stamped by the lane that round-tripped the matrix
+    let round_trips = Mutex::new(Vec::with_capacity(work.len()));
     ctx.workers.loader().fan_out(work.len(), |k, lane| {
-        let (a, x) = &work[k];
-        let mut x = x.lock();
+        let mut x = work[k].lock();
         let start = ctx.origin.elapsed().as_secs_f64();
         let wall_start = Instant::now();
         lane.install(|| ctx.precision.round_trip_in_place(&mut x));
         let wall = wall_start.elapsed().as_secs_f64();
-        stamps
+        round_trips
             .lock()
-            .push((*a, wall, (start, ctx.origin.elapsed().as_secs_f64())));
+            .push((wall, (start, ctx.origin.elapsed().as_secs_f64())));
     });
-
-    let num_rings = ctx.rings.num_rings();
-    let mut lane_transfer_walls = vec![0.0f64; num_rings];
-    let mut lane_transfer_spans: Vec<Option<(f64, f64)>> = vec![None; num_rings];
-    let mut span: Option<(f64, f64)> = None;
-    for (a, wall, (s0, s1)) in stamps.into_inner() {
-        lane_transfer_walls[a] = wall;
-        lane_transfer_spans[a] = Some((s0, s1));
-        span = Some(span.map_or((s0, s1), |(s, e)| (s.min(s0), e.max(s1))));
-    }
-    let transfer_wall_s = lane_transfer_walls.iter().sum();
-    let now = ctx.origin.elapsed().as_secs_f64();
 
     PreparedIteration {
         iter,
@@ -645,10 +598,7 @@ fn apply_transfer(
         features,
         sample_wall_s,
         load_wall_s,
-        transfer_wall_s,
-        transfer_span: span.unwrap_or((now, now)),
-        lane_transfer_walls,
-        lane_transfer_spans,
+        round_trips: round_trips.into_inner(),
         slots,
         threads,
     }
@@ -685,7 +635,7 @@ struct Prefetcher {
     pool: Arc<MatrixPool>,
     /// Prepared iterations currently sitting in the consumer queue
     /// (incremented by the producer on send, decremented on receive) —
-    /// lets tests and benches wait for the queue to fill
+    /// lets tests wait for the queue to fill
     /// deterministically instead of sleeping.
     ready: Arc<AtomicUsize>,
     handle: Option<JoinHandle<()>>,
@@ -903,8 +853,8 @@ impl IterationFeed {
     /// A request the live producer generation would not serve next (new
     /// quotas after a DRM move, or a different iteration) restarts it
     /// first: the generation is shut down, every queued and in-flight
-    /// item is recycled, every staging ring records one drain, and a
-    /// fresh generation is spawned at `iter` under `quotas`.
+    /// item is recycled, and a fresh generation is spawned at `iter`
+    /// under `quotas`.
     ///
     /// # Panics
     /// Re-raises the panic of a producer thread that crashed.
@@ -921,14 +871,13 @@ impl IterationFeed {
         Some(prep)
     }
 
-    /// Shut the live generation down, count the restart and one drain
-    /// on every ring, and respawn at `(iter, quotas)`.
+    /// Shut the live generation down, count the restart, and respawn at
+    /// `(iter, quotas)`.
     fn restart(&mut self, iter: usize, quotas: &[usize]) {
         let t0 = Instant::now();
         if let Some(p) = self.pipeline.take() {
             self.batches_flushed += p.shutdown();
         }
-        self.ctx.rings.drain_all();
         self.restarts += 1;
         self.next_iter = iter;
         self.quotas = quotas.to_vec();
@@ -1238,11 +1187,6 @@ mod tests {
         }
         assert!(landed, "producer never observed the balance_thread move");
         assert_eq!(feed.restarts(), 0, "thread moves must not drain the queue");
-        assert_eq!(
-            feed.rings().drains_total(),
-            0,
-            "thread moves must not drain the staging rings"
-        );
         feed.finish();
     }
 
@@ -1278,22 +1222,19 @@ mod tests {
     }
 
     #[test]
-    fn feed_restarts_on_quota_change_and_drains_every_ring() {
+    fn feed_restarts_on_quota_change() {
         let (ctx, order) = ctx();
         let pool = Arc::new(MatrixPool::new());
         let quotas = vec![8usize, 8, 8];
         let mut feed = feed_over(&ctx, &order, 2, &pool, &quotas);
         let first = feed.obtain(0, &quotas).expect("first iteration");
         feed.recycle(first);
-        assert_eq!(feed.rings().drains_total(), 0);
+        assert_eq!(feed.restarts(), 0);
         // 4 seeds move from trainer 1 (lane 0) to the CPU: the next
         // request names the new quotas, so the producer restarts
         let new_quotas = vec![12usize, 4, 8];
         let second = feed.obtain(1, &new_quotas).expect("post-remap iteration");
         assert_eq!(feed.restarts(), 1);
-        for a in 0..2 {
-            assert_eq!(feed.rings().ring(a).drains(), 1, "ring {a} drained once");
-        }
         assert_eq!(second.quotas, new_quotas);
         assert_eq!(second.seed_sets[0].len(), 12);
         assert_eq!(second.seed_sets[1].len(), 4);
@@ -1324,7 +1265,6 @@ mod tests {
             feed.recycle(prep);
         }
         assert_eq!(feed.restarts(), 0, "equal quotas restarted the producer");
-        assert_eq!(feed.rings().drains_total(), 0, "equal quotas drained");
         assert_eq!(feed.batches_flushed(), 0);
         assert_eq!(feed.restart_wall_s(), 0.0);
         feed.finish();

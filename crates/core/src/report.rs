@@ -25,25 +25,16 @@ pub struct WallStageTimes {
     pub load_s: f64,
     /// Wire-precision round-trip, the functional stand-in for the PCIe
     /// transfer (producer side) — the *aggregate* wire work, i.e. the
-    /// sum of every accelerator's round-trip wall
-    /// ([`lane_transfer_s`](Self::lane_transfer_s)).
+    /// sum of every accelerator batch's round-trip wall.
     pub transfer_s: f64,
     /// Portion of `transfer_s` that executed while the consumer was
     /// concurrently inside GNN propagation of an *earlier* iteration —
-    /// the wire time the staging ring actually hid, summed over lanes
-    /// ([`lane_transfer_hidden_s`](Self::lane_transfer_hidden_s)). Zero
-    /// in serial execution and at staging-ring depth 1 (a lane's
+    /// the wire time the staging rings actually hid, summed over the
+    /// accelerator batches (each batch hides at most its own wall). Zero
+    /// in serial execution and at staging-ring depth 1 (a batch's
     /// transfer can only start once the previous batch's slot frees,
     /// i.e. after its propagation ends).
     pub transfer_hidden_s: f64,
-    /// Per-accelerator-lane wire round-trip wall seconds (index =
-    /// staging-ring index; empty when unrecorded or no accelerator
-    /// batch shipped).
-    pub lane_transfer_s: Vec<f64>,
-    /// Per-lane share of [`lane_transfer_s`](Self::lane_transfer_s)
-    /// that ran behind an earlier batch's propagation — the hidden wire
-    /// time, per accelerator.
-    pub lane_transfer_hidden_s: Vec<f64>,
     /// GNN propagation + synchronization + weight update (consumer side).
     pub train_s: f64,
     /// End-to-end iteration wall-clock on the consumer thread.
@@ -104,21 +95,11 @@ impl WallStageTimes {
     pub fn mean_of<'a>(times: impl Iterator<Item = &'a WallStageTimes>) -> WallStageTimes {
         let mut acc = WallStageTimes::default();
         let mut n = 0usize;
-        let add_lanes = |acc: &mut Vec<f64>, lanes: &[f64]| {
-            if acc.len() < lanes.len() {
-                acc.resize(lanes.len(), 0.0);
-            }
-            for (a, &l) in acc.iter_mut().zip(lanes) {
-                *a += l;
-            }
-        };
         for t in times {
             acc.sample_s += t.sample_s;
             acc.load_s += t.load_s;
             acc.transfer_s += t.transfer_s;
             acc.transfer_hidden_s += t.transfer_hidden_s;
-            add_lanes(&mut acc.lane_transfer_s, &t.lane_transfer_s);
-            add_lanes(&mut acc.lane_transfer_hidden_s, &t.lane_transfer_hidden_s);
             acc.train_s += t.train_s;
             acc.iter_s += t.iter_s;
             // restart accounting accumulates: epoch summaries carry the
@@ -137,13 +118,6 @@ impl WallStageTimes {
             acc.load_s *= inv;
             acc.transfer_s *= inv;
             acc.transfer_hidden_s *= inv;
-            for l in acc
-                .lane_transfer_s
-                .iter_mut()
-                .chain(acc.lane_transfer_hidden_s.iter_mut())
-            {
-                *l *= inv;
-            }
             acc.train_s *= inv;
             acc.iter_s *= inv;
         }
@@ -283,7 +257,6 @@ mod tests {
                 loader: 3,
                 trainer: 5,
             },
-            ..Default::default()
         };
         let b_threads = b.threads;
         let m = WallStageTimes::mean_of([a, b].iter());
@@ -333,26 +306,5 @@ mod tests {
         let m = WallStageTimes::mean_of([a, b].iter());
         assert!((m.transfer_hidden_s - 2.0).abs() < 1e-12);
         assert!((m.transfer_overlap_ratio() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lane_means_are_element_wise() {
-        let a = WallStageTimes {
-            transfer_s: 3.0,
-            transfer_hidden_s: 1.0,
-            lane_transfer_s: vec![2.0, 1.0],
-            lane_transfer_hidden_s: vec![1.0, 0.0],
-            ..Default::default()
-        };
-        // ragged lengths are zero-padded
-        let b = WallStageTimes {
-            transfer_s: 1.0,
-            lane_transfer_s: vec![1.0],
-            lane_transfer_hidden_s: vec![1.0],
-            ..Default::default()
-        };
-        let m = WallStageTimes::mean_of([a, b].iter());
-        assert_eq!(m.lane_transfer_s, vec![1.5, 0.5]);
-        assert_eq!(m.lane_transfer_hidden_s, vec![1.0, 0.0]);
     }
 }

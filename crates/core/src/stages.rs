@@ -220,18 +220,6 @@ impl StageTimes {
             (Stage::Accel, self.accel()),
         ]
     }
-
-    /// Element-wise running average helper: `self + (other - self)/n`.
-    pub fn ewma_toward(&mut self, other: &StageTimes, alpha: f64) {
-        let mix = |a: &mut f64, b: f64| *a += alpha * (b - *a);
-        mix(&mut self.sample_cpu, other.sample_cpu);
-        mix(&mut self.sample_accel, other.sample_accel);
-        mix(&mut self.load, other.load);
-        mix(&mut self.transfer, other.transfer);
-        mix(&mut self.train_cpu, other.train_cpu);
-        mix(&mut self.train_accel, other.train_accel);
-        mix(&mut self.sync, other.sync);
-    }
 }
 
 #[cfg(test)]
@@ -304,14 +292,5 @@ mod tests {
         assert!(Stage::TrainCpu.is_cpu_task());
         assert!(!Stage::SampleAccel.is_cpu_task());
         assert!(!Stage::Accel.is_cpu_task());
-    }
-
-    #[test]
-    fn ewma_moves_toward_target() {
-        let mut a = StageTimes::zero();
-        a.ewma_toward(&t(), 0.5);
-        assert_eq!(a.load, 1.5);
-        a.ewma_toward(&t(), 1.0);
-        assert_eq!(a.load, 3.0);
     }
 }

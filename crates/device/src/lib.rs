@@ -7,8 +7,7 @@
 //!
 //! * **Functional** — [`fpga`] simulates the scatter-gather + systolic
 //!   kernel of paper §IV-C edge-for-edge (bit-accurate aggregation plus
-//!   cycle/traffic counts); [`gpu_cache`] simulates a set-associative
-//!   gather cache to ground the GPU cache-inefficiency factor.
+//!   cycle/traffic counts).
 //! * **Analytical** — [`timing`] implements the per-trainer propagation
 //!   time models (paper Eq. 10–12) with the ⊕ operator selected per
 //!   device (pipelined `max` on FPGA, serial `sum` on CPU/GPU), and
@@ -25,7 +24,6 @@
 
 pub mod calib;
 pub mod fpga;
-pub mod gpu_cache;
 pub mod memory;
 pub mod pcie;
 pub mod spec;

@@ -6,7 +6,7 @@
 //! layer's output for all vertices. Chunked over vertices so peak memory
 //! stays bounded — the same reason the paper streams mini-batches.
 
-use crate::aggregate::{aggregate_gcn, aggregate_mean, GcnCoefficients};
+use crate::aggregate::GcnCoefficients;
 use crate::model::{GnnKind, GnnModel};
 use hyscale_graph::CsrGraph;
 use hyscale_sampler::Block;
@@ -77,7 +77,7 @@ fn propagate_layer(
             GnnKind::Gcn => Some(global_gcn_coefficients(&block, &src_nodes, graph)),
             _ => None,
         };
-        let z = model.layer_output(&block, &h_src, layer, coef.as_ref());
+        let z = model.layer_output(&block, &h_src, layer, coef);
         for (i, row) in z.rows_iter().enumerate() {
             out.row_mut(start + i).copy_from_slice(row);
         }
@@ -109,33 +109,16 @@ fn global_gcn_coefficients(block: &Block, src_global: &[u32], graph: &CsrGraph) 
 
 impl GnnModel {
     /// Apply layer `layer`'s aggregate-update to a block, optionally
-    /// overriding the aggregation coefficients (shared by training
-    /// forward and exact inference).
+    /// overriding GCN's aggregation coefficients. The aggregation is the
+    /// one training's forward pass runs.
     pub fn layer_output(
         &self,
         block: &Block,
         h_src: &Matrix,
         layer: usize,
-        coef_override: Option<&GcnCoefficients>,
+        coef_override: Option<GcnCoefficients>,
     ) -> Matrix {
-        let update_in = match self.kind() {
-            GnnKind::Gcn => match coef_override {
-                Some(coef) => aggregate_gcn(block, h_src, coef),
-                None => aggregate_gcn(block, h_src, &GcnCoefficients::from_block(block)),
-            },
-            GnnKind::Gin => {
-                let coef = GcnCoefficients::gin(block, 0.0);
-                aggregate_gcn(block, h_src, &coef)
-            }
-            GnnKind::GraphSage => {
-                let mean = aggregate_mean(block, h_src);
-                let mut self_feats = Matrix::zeros(block.num_dst, h_src.cols());
-                for d in 0..block.num_dst {
-                    self_feats.row_mut(d).copy_from_slice(h_src.row(d));
-                }
-                self_feats.hconcat(&mean)
-            }
-        };
+        let (update_in, _) = self.aggregate(block, h_src, coef_override);
         let last = layer + 1 == self.num_layers();
         self.apply_update(&update_in, layer, !last)
     }

@@ -24,7 +24,7 @@ use crate::aggregate::{
     aggregate_gcn, aggregate_gcn_backward, aggregate_mean, aggregate_mean_backward, GcnCoefficients,
 };
 use crate::grads::Gradients;
-use hyscale_sampler::MiniBatch;
+use hyscale_sampler::{Block, MiniBatch};
 use hyscale_tensor::ops::{add_bias_inplace, bias_grad, relu_backward_inplace, relu_inplace};
 use hyscale_tensor::optim::Optimizer;
 use hyscale_tensor::{gemm_nn, gemm_nt, gemm_tn, softmax_cross_entropy, xavier_uniform, Matrix};
@@ -172,27 +172,7 @@ impl GnnModel {
         };
         for (l, (block, params)) in mb.blocks.iter().zip(&self.layers).enumerate() {
             let last = l + 1 == self.layers.len();
-            let (update_in, gcn_coef) = match self.kind {
-                GnnKind::Gcn => {
-                    let coef = GcnCoefficients::from_block(block);
-                    let agg = aggregate_gcn(block, &h, &coef);
-                    (agg, Some(coef))
-                }
-                GnnKind::Gin => {
-                    let coef = GcnCoefficients::gin(block, 0.0);
-                    let agg = aggregate_gcn(block, &h, &coef);
-                    (agg, Some(coef))
-                }
-                GnnKind::GraphSage => {
-                    let mean = aggregate_mean(block, &h);
-                    // dst features are the src prefix
-                    let mut self_feats = Matrix::zeros(block.num_dst, h.cols());
-                    for d in 0..block.num_dst {
-                        self_feats.row_mut(d).copy_from_slice(h.row(d));
-                    }
-                    (self_feats.hconcat(&mean), None)
-                }
-            };
+            let (update_in, gcn_coef) = self.aggregate(block, &h, None);
             let mut z = gemm_nn(&update_in, &params.w);
             add_bias_inplace(&mut z, &params.b);
             let out = if last {
@@ -299,6 +279,33 @@ impl GnnModel {
             opt.step(2 * l + 1, &mut b, &db_m);
             params.b.copy_from_slice(b.as_slice());
         }
+    }
+
+    /// Aggregate stage of one layer: the update GEMM's input (aggregated
+    /// for GCN/GIN, `[self ‖ mean]` for SAGE) and the coefficients used
+    /// (`None` for SAGE), which the backward pass reuses. `gcn_coef`
+    /// overrides GCN's in-block normalisation; GIN and SAGE ignore it.
+    /// Shared by training and the exact-inference path.
+    pub(crate) fn aggregate(
+        &self,
+        block: &Block,
+        h_src: &Matrix,
+        gcn_coef: Option<GcnCoefficients>,
+    ) -> (Matrix, Option<GcnCoefficients>) {
+        let coef = match self.kind {
+            GnnKind::Gcn => gcn_coef.unwrap_or_else(|| GcnCoefficients::from_block(block)),
+            GnnKind::Gin => GcnCoefficients::gin(block, 0.0),
+            GnnKind::GraphSage => {
+                let mean = aggregate_mean(block, h_src);
+                // dst features are the src prefix
+                let mut self_feats = Matrix::zeros(block.num_dst, h_src.cols());
+                for d in 0..block.num_dst {
+                    self_feats.row_mut(d).copy_from_slice(h_src.row(d));
+                }
+                return (self_feats.hconcat(&mean), None);
+            }
+        };
+        (aggregate_gcn(block, h_src, &coef), Some(coef))
     }
 
     /// Apply layer `layer`'s update stage (`z = in·W + b`, optional

@@ -5,7 +5,6 @@
 //! for large-scale graphs"). The Feature Loader gathers sampled rows into
 //! the mini-batch matrix `X'`.
 
-use crate::csr::CsrGraph;
 use hyscale_tensor::init::randn;
 use hyscale_tensor::Matrix;
 use rand::rngs::SmallRng;
@@ -214,11 +213,6 @@ pub fn gather_features_numa_into(
     });
 }
 
-/// Sanity check: every vertex with at least one edge has a feature row.
-pub fn check_coverage(graph: &CsrGraph, data: &VertexData) -> bool {
-    graph.num_vertices() == data.num_vertices()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,14 +389,5 @@ mod tests {
         let mut out = Matrix::uninit(0, 0);
         gather_features_numa_into(&mut out, &x, &idx, 8, &group);
         assert_eq!(out.as_slice(), gather_features(&x, &idx).as_slice());
-    }
-
-    #[test]
-    fn coverage_check() {
-        let g = CsrGraph::empty(10);
-        let d = VertexData::random(10, 4, 2, 0);
-        assert!(check_coverage(&g, &d));
-        let d2 = VertexData::random(9, 4, 2, 0);
-        assert!(!check_coverage(&g, &d2));
     }
 }

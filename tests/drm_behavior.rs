@@ -2,9 +2,9 @@
 //! mapping, Algorithm 1 must converge to a faster one while preserving
 //! the per-iteration seed total and the CPU thread budget — and its two
 //! move kinds must have the right effect on the prefetch producer: a
-//! `balance_work` move that changes the quotas restarts it once and
-//! drains every staging ring once (a zero-diff move costs nothing), a
-//! `balance_thread` move restarts and drains nothing.
+//! `balance_work` move that changes the quotas restarts it once (a
+//! zero-diff move costs nothing), a `balance_thread` move restarts
+//! nothing.
 
 use hyscale::core::drm::{DrmEngine, ThreadAlloc, WorkloadSplit};
 use hyscale::core::{AcceleratorKind, PerfModel, SystemConfig};
@@ -182,24 +182,16 @@ mod ring_fixture {
     }
 }
 
-/// Assert every staging ring of `feed` recorded exactly `n` drains.
-fn assert_every_ring_drained(feed: &hyscale::core::IterationFeed, n: usize) {
-    let rings = feed.rings();
-    for a in 0..rings.num_rings() {
-        assert_eq!(rings.ring(a).drains(), n, "ring {a} drain count");
-    }
-}
-
 /// `balance_work` semantics: the next request under changed quotas
-/// restarts the producer once and drains every staging ring once, and
-/// service continues under the new quotas.
+/// restarts the producer once, and service continues under the new
+/// quotas.
 #[test]
 fn balance_work_restarts_and_drains_every_lane() {
     let (mut feed, quotas) = ring_fixture::feed(2, 2, 2);
     let first = feed.obtain(0, &quotas).expect("first iteration");
     assert_eq!(first.slots.len(), 2, "one staging slot per accel batch");
     feed.recycle(first);
-    assert_eq!(feed.rings().drains_total(), 0);
+    assert_eq!(feed.restarts(), 0);
 
     // the DRM moves 4 seeds from accel trainer 1 (lane 0) to the CPU
     let new_quotas = vec![12usize, 4, 8];
@@ -207,14 +199,12 @@ fn balance_work_restarts_and_drains_every_lane() {
     assert_eq!(second.quotas, new_quotas);
     feed.recycle(second);
     assert_eq!(feed.restarts(), 1, "balance_work must restart the producer");
-    assert_every_ring_drained(&feed, 1);
 
-    // the reverse move restarts and drains again
-    let third = feed.obtain(2, &quotas).expect("post-drain iteration");
+    // the reverse move restarts again
+    let third = feed.obtain(2, &quotas).expect("post-restart iteration");
     assert_eq!(third.quotas, quotas);
     feed.recycle(third);
     assert_eq!(feed.restarts(), 2);
-    assert_every_ring_drained(&feed, 2);
     let rings = std::sync::Arc::clone(feed.rings());
     feed.finish();
     assert_eq!(rings.in_flight_total(), 0, "slots leaked");
@@ -222,9 +212,7 @@ fn balance_work_restarts_and_drains_every_lane() {
 
 /// Train one epoch of a small hybrid configuration at prefetch depth 2
 /// with the live DRM off and `schedule` as the only re-mapping source.
-fn scripted_epoch(
-    schedule: Vec<hyscale::core::ScriptedDrmEvent>,
-) -> (hyscale::core::EpochReport, usize) {
+fn scripted_epoch(schedule: Vec<hyscale::core::ScriptedDrmEvent>) -> hyscale::core::EpochReport {
     use hyscale::core::{HybridTrainer, OptFlags};
     let mut cfg = SystemConfig::paper_default(AcceleratorKind::u250(), GnnKind::Gcn);
     cfg.platform.num_accelerators = 2;
@@ -241,15 +229,12 @@ fn scripted_epoch(
     let mut t = HybridTrainer::new(cfg, hyscale::graph::Dataset::toy(41));
     t.set_mapping(WorkloadSplit::new(32, 96, 2), ThreadAlloc::default_for(16));
     t.set_drm_schedule(schedule);
-    let report = t.train_epoch();
-    let drains = t.rings().drains_total();
-    (report, drains)
+    t.train_epoch()
 }
 
 /// Two `balance_work` moves between the same pair of iterations reach
-/// the producer as one request under the final quotas: one restart and
-/// one drain per ring for the pair. A pair that cancels out costs
-/// nothing.
+/// the producer as one request under the final quotas: one restart for
+/// the pair. A pair that cancels out costs nothing.
 #[test]
 fn burst_of_moves_before_one_obtain_restarts_once() {
     use hyscale::core::{ScriptedDrm, ScriptedDrmEvent};
@@ -258,19 +243,17 @@ fn burst_of_moves_before_one_obtain_restarts_once() {
         iter: 1,
         action: ScriptedDrm::BalanceWork { to_cpu },
     };
-    let (report, drains) = scripted_epoch(vec![shift(4), shift(4)]);
+    let report = scripted_epoch(vec![shift(4), shift(4)]);
     assert_eq!(report.functional_iters, 4);
     assert_eq!(report.prefetch_restarts, 1, "a burst must pay one restart");
-    assert_eq!(drains, 2, "one drain on each of the two rings");
     assert_eq!(report.trace[2].cpu_quota, 40);
 
-    let (report, drains) = scripted_epoch(vec![shift(4), shift(-4)]);
+    let report = scripted_epoch(vec![shift(4), shift(-4)]);
     assert_eq!(report.prefetch_restarts, 0, "a cancelling burst restarted");
-    assert_eq!(drains, 0, "a cancelling burst drained");
 }
 
 /// A `balance_work` whose new quotas equal the old is a complete no-op:
-/// nothing drained, nothing flushed, no restart, no restart time — and
+/// nothing flushed, no restart, no restart time — and
 /// the feed keeps serving without a hiccup.
 #[test]
 fn zero_diff_balance_work_drains_nothing() {
@@ -281,7 +264,6 @@ fn zero_diff_balance_work_drains_nothing() {
         feed.recycle(prep);
     }
     assert_eq!(feed.restarts(), 0, "equal quotas restarted the producer");
-    assert_eq!(feed.rings().drains_total(), 0, "equal quotas drained");
     assert_eq!(feed.batches_flushed(), 0, "equal quotas flushed work");
     assert_eq!(
         feed.restart_wall_s(),
@@ -293,7 +275,7 @@ fn zero_diff_balance_work_drains_nothing() {
 
 /// `balance_thread` semantics: re-sizing the worker pools — the loader
 /// pool's width is also the round-trip concurrency — must leave the
-/// staging rings intact: no drain, no restart, occupied staging slots
+/// staging rings intact: no restart, occupied staging slots
 /// stay valid (widths change wall-clock, never bytes).
 #[test]
 fn balance_thread_leaves_staging_rings_intact() {
@@ -310,18 +292,13 @@ fn balance_thread_leaves_staging_rings_intact() {
     feed.rebalance_threads(&moved);
     assert_eq!(feed.workers().observed(), moved);
     // the round-trip fan-out width followed the loader budget — a live
-    // resize with no draining of any kind
+    // resize with no restart
     assert_eq!(
         feed.workers().observed().loader,
         4,
         "the loader pool must take the new budget"
     );
     assert_eq!(feed.restarts(), 0, "balance_thread must not restart");
-    assert_eq!(
-        feed.rings().drains_total(),
-        0,
-        "balance_thread must not drain the staging rings"
-    );
 
     // prepared iterations keep flowing through the untouched rings,
     // including across a second loader-width change mid-stream
@@ -338,7 +315,7 @@ fn balance_thread_leaves_staging_rings_intact() {
         assert_eq!(prep.slots.len(), 2);
         feed.recycle(prep);
     }
-    assert_eq!(feed.rings().drains_total(), 0);
+    assert_eq!(feed.restarts(), 0);
     let rings = std::sync::Arc::clone(feed.rings());
     feed.finish();
     assert_eq!(rings.in_flight_total(), 0, "slots leaked");
@@ -346,7 +323,7 @@ fn balance_thread_leaves_staging_rings_intact() {
 
 /// Lane starvation: the producer is wedged against a ring slot the
 /// consumer still holds when a quota change arrives. The restart must
-/// neither deadlock nor corrupt service, and it drains every ring.
+/// neither deadlock nor corrupt service.
 #[test]
 fn lane_starvation_survives_remap_without_deadlock() {
     // ring depth 1 + held slots: after iteration 0 is obtained (and NOT
@@ -374,7 +351,6 @@ fn lane_starvation_survives_remap_without_deadlock() {
     assert_eq!(next.seed_sets[0].len(), 10);
     assert_eq!(next.seed_sets[1].len(), 6);
     assert_eq!(feed.restarts(), 1);
-    assert_every_ring_drained(&feed, 1);
     feed.recycle(next);
     // the feed keeps serving normally afterwards
     let after = feed.obtain(2, &new_quotas).expect("steady service resumes");
@@ -386,7 +362,7 @@ fn lane_starvation_survives_remap_without_deadlock() {
 
 /// Single-slot rings (ring depth 1) still serve the feed correctly —
 /// the transfer stage just serializes against slot release — and a
-/// quota change drains both rings.
+/// quota change restarts the producer.
 #[test]
 fn single_slot_rings_serve_and_drain() {
     let (mut feed, quotas) = ring_fixture::feed(2, 1, 1);
@@ -397,8 +373,8 @@ fn single_slot_rings_serve_and_drain() {
         feed.recycle(prep);
     }
     let new_quotas = vec![10usize, 6, 8];
-    let next = feed.obtain(3, &new_quotas).expect("post-drain");
-    assert_every_ring_drained(&feed, 1);
+    let next = feed.obtain(3, &new_quotas).expect("post-restart");
+    assert_eq!(feed.restarts(), 1, "a quota change restarts the producer");
     feed.recycle(next);
     let rings = std::sync::Arc::clone(feed.rings());
     feed.finish();
