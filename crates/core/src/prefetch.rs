@@ -737,23 +737,27 @@ impl Prefetcher {
         self.ready.load(Ordering::Acquire)
     }
 
-    /// Stop the producer, recycle every queued and in-flight item, and
-    /// join its thread. Returns the number of per-trainer batches the
-    /// queue held (prepared work thrown away).
+    /// Stop the producer and recycle every queued and in-flight item.
+    /// Returns the number of per-trainer batches the queue held
+    /// (prepared work thrown away). Dropping `self` joins the thread.
     fn shutdown(mut self) -> usize {
+        self.drain()
+    }
+
+    /// Halt the producer, then receive until the queue disconnects: a
+    /// producer blocked on the full channel completes its send and then
+    /// observes `stop`, and one blocked on a staging slot recycles what
+    /// it holds, so each buffer returns through the ring-aware recycle.
+    /// Bounded: at most one in-flight iteration — the same work the
+    /// consumer would do inline anyway before it can proceed. Returns
+    /// the per-trainer batches the queue held.
+    fn drain(&mut self) -> usize {
         self.halt();
-        // Receive until the queue disconnects: a producer blocked on the
-        // full channel completes its send and then observes `stop`, and
-        // one blocked on a staging slot recycles what it holds, so each
-        // buffer returns through the ring-aware recycle. Bounded: at most
-        // one in-flight iteration — the same work the consumer would do
-        // inline anyway before it can proceed.
         let mut flushed = 0;
         while let Ok(prep) = self.rx.recv() {
             flushed += prep.batches.iter().flatten().count();
             self.ctx.recycle(prep.features, &self.pool);
         }
-        self.join();
         flushed
     }
 
@@ -765,12 +769,26 @@ impl Prefetcher {
     }
 
     /// Halt and join the producer thread, re-raising its panic on this
-    /// thread. Idempotent: a second call finds no handle left.
+    /// thread unless this thread is already unwinding. Idempotent: a
+    /// second call finds no handle left.
     fn join(&mut self) {
         self.halt();
         if let Some(Err(payload)) = self.handle.take().map(JoinHandle::join) {
-            std::panic::resume_unwind(payload);
+            if !std::thread::panicking() {
+                std::panic::resume_unwind(payload);
+            }
         }
+    }
+}
+
+/// However the generation ends — shut down by a restart, finished, or
+/// dropped while a trainer panic unwinds the epoch — its producer is
+/// halted, drained and joined: it never outlives the feed parked on a
+/// staging slot that a live [`PreparedIteration`] still holds.
+impl Drop for Prefetcher {
+    fn drop(&mut self) {
+        self.drain();
+        self.join();
     }
 }
 
@@ -939,14 +957,11 @@ impl IterationFeed {
     }
 
     /// Tear down the producer, recycling everything it still holds.
+    /// Dropping the feed does the same.
     ///
     /// # Panics
     /// Re-raises the panic of a producer thread that crashed.
-    pub fn finish(mut self) {
-        if let Some(p) = self.pipeline.take() {
-            p.shutdown();
-        }
-    }
+    pub fn finish(self) {}
 }
 
 #[cfg(test)]
@@ -1299,6 +1314,25 @@ mod tests {
                 "lane {a} got no buffer back"
             );
         }
+    }
+
+    #[test]
+    fn dropped_feed_joins_a_producer_parked_on_a_held_slot() {
+        let (ctx, order) = ctx_with_rings(1);
+        let pool = Arc::new(MatrixPool::new());
+        let quotas = vec![8usize, 8, 8];
+        let mut feed = feed_over(&ctx, &order, 2, &pool, &quotas);
+        // Held, so its ring-depth-1 slots park the producer's next
+        // iteration in `acquire`.
+        let held = feed.obtain(0, &quotas).expect("first iteration");
+        drop(feed); // no finish(): as when a trainer panic unwinds the epoch
+        assert_eq!(
+            Arc::strong_count(&ctx),
+            1,
+            "the producer thread outlived its feed"
+        );
+        drop(held);
+        assert_eq!(ctx.rings.in_flight_total(), 0, "slots leaked");
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //!
 //! Backward walks the same graph in reverse (paper Fig. 1: "Backward
 //! propagation performs the same set of GNN operations ... in a reverse
-//! direction"), producing `∂W`/`∂b` per layer.
+//! direction"), producing `∂W`/`∂b` per layer. Layer 0 stops at its
+//! `∂W`/`∂b`: the gathered features need no gradient, so it runs the
+//! update backward only — what Eq. 10 and
+//! `hyscale_device::timing::TrainerTiming::propagation_time` charge it.
 
 use crate::aggregate::{
     aggregate_gcn, aggregate_gcn_backward, aggregate_mean, aggregate_mean_backward, GcnCoefficients,
@@ -149,10 +152,11 @@ impl GnnModel {
     ///
     /// `x` holds the gathered input features (`mb.input_nodes` rows).
     pub fn forward(&self, mb: &MiniBatch, x: &Matrix) -> Matrix {
-        self.forward_cached(mb, x).logits
+        let mut per_layer = self.forward_cached(mb, x);
+        per_layer.pop().expect("at least one layer").out
     }
 
-    fn forward_cached(&self, mb: &MiniBatch, x: &Matrix) -> ForwardCache {
+    fn forward_cached(&self, mb: &MiniBatch, x: &Matrix) -> Vec<LayerCache> {
         assert_eq!(
             mb.num_layers(),
             self.layers.len(),
@@ -165,60 +169,58 @@ impl GnnModel {
         );
         assert_eq!(x.cols(), self.dims[0], "feature width must match f0");
 
-        let mut h = x.clone();
-        let mut cache = ForwardCache {
-            per_layer: Vec::with_capacity(self.layers.len()),
-            logits: Matrix::zeros(0, 0),
-        };
-        for (l, (block, params)) in mb.blocks.iter().zip(&self.layers).enumerate() {
-            let last = l + 1 == self.layers.len();
-            let (update_in, gcn_coef) = self.aggregate(block, &h, None);
-            let mut z = gemm_nn(&update_in, &params.w);
-            add_bias_inplace(&mut z, &params.b);
-            let out = if last {
-                z.clone()
-            } else {
-                let mut a = z.clone();
-                relu_inplace(&mut a);
-                a
-            };
-            cache.per_layer.push(LayerCache {
-                h_src: h,
+        let mut per_layer: Vec<LayerCache> = Vec::with_capacity(self.layers.len());
+        for (l, block) in mb.blocks.iter().enumerate() {
+            // Layer 0 aggregates straight from the gathered features;
+            // later layers read the previous layer's cached activation.
+            let h_src = per_layer.last().map_or(x, |prev| &prev.out);
+            let (update_in, gcn_coef) = self.aggregate(block, h_src, None);
+            let out = self.apply_update(&update_in, l, l + 1 < self.layers.len());
+            per_layer.push(LayerCache {
                 update_in,
-                z,
+                out,
                 gcn_coef,
             });
-            h = out;
         }
-        cache.logits = h;
-        cache
+        per_layer
     }
 
     /// One training step: forward, loss, backward. Returns loss/accuracy
     /// and gradients (mean over this batch); does *not* update weights —
     /// the synchronizer averages first (paper Fig. 4 step "GNN
     /// Propagation" → "Synchronizer").
+    ///
+    /// Backward stops at layer 0's `∂W`/`∂b`: nothing upstream of the
+    /// gathered features needs a gradient, so layer 0 runs no input
+    /// GEMM and no aggregate backward — the cost Eq. 10 and
+    /// `TrainerTiming::propagation_time` charge it.
     pub fn train_step(&self, mb: &MiniBatch, x: &Matrix, labels: &[u32]) -> StepOutput {
-        let cache = self.forward_cached(mb, x);
-        let loss_out = softmax_cross_entropy(&cache.logits, labels);
-        let acc = hyscale_tensor::accuracy(&cache.logits, labels);
+        let per_layer = self.forward_cached(mb, x);
+        let logits = &per_layer.last().expect("at least one layer").out;
+        let loss_out = softmax_cross_entropy(logits, labels);
+        let acc = hyscale_tensor::accuracy(logits, labels);
 
         let mut d_weights: Vec<Matrix> = Vec::with_capacity(self.layers.len());
         let mut d_biases: Vec<Vec<f32>> = Vec::with_capacity(self.layers.len());
         let mut d_h = loss_out.grad; // ∂L/∂logits
         for (l, (block, params)) in mb.blocks.iter().zip(&self.layers).enumerate().rev() {
-            let lc = &cache.per_layer[l];
-            let last = l + 1 == self.layers.len();
+            let lc = &per_layer[l];
             let mut d_z = d_h;
-            if !last {
-                relu_backward_inplace(&mut d_z, &lc.z);
+            if l + 1 < self.layers.len() {
+                // `relu_inplace` only writes `v < 0.0 → 0.0`, so
+                // `out <= 0` holds exactly where `z <= 0` did, for every
+                // f32 including −0.0 and NaN: the activation is the mask.
+                relu_backward_inplace(&mut d_z, &lc.out);
             }
             // update backward
-            let d_w = gemm_tn(&lc.update_in, &d_z);
-            let d_b = bias_grad(&d_z);
+            d_weights.push(gemm_tn(&lc.update_in, &d_z));
+            d_biases.push(bias_grad(&d_z));
+            if l == 0 {
+                break;
+            }
             let d_update_in = gemm_nt(&d_z, &params.w);
             // aggregate backward
-            let d_src = match self.kind {
+            d_h = match self.kind {
                 GnnKind::Gcn | GnnKind::Gin => {
                     let coef = lc
                         .gcn_coef
@@ -227,7 +229,7 @@ impl GnnModel {
                     aggregate_gcn_backward(block, &d_update_in, coef)
                 }
                 GnnKind::GraphSage => {
-                    let f_in = lc.h_src.cols();
+                    let f_in = lc.update_in.cols() / 2;
                     let (d_self, d_mean) = d_update_in.hsplit(f_in);
                     let mut d_src = aggregate_mean_backward(block, &d_mean);
                     for d in 0..block.num_dst {
@@ -240,9 +242,6 @@ impl GnnModel {
                     d_src
                 }
             };
-            d_weights.push(d_w);
-            d_biases.push(d_b);
-            d_h = d_src;
         }
         d_weights.reverse();
         d_biases.reverse();
@@ -297,12 +296,15 @@ impl GnnModel {
             GnnKind::Gin => GcnCoefficients::gin(block, 0.0),
             GnnKind::GraphSage => {
                 let mean = aggregate_mean(block, h_src);
-                // dst features are the src prefix
-                let mut self_feats = Matrix::zeros(block.num_dst, h_src.cols());
+                let f = h_src.cols();
+                let mut cat = Matrix::uninit(block.num_dst, 2 * f);
                 for d in 0..block.num_dst {
-                    self_feats.row_mut(d).copy_from_slice(h_src.row(d));
+                    // dst features are the src prefix
+                    let (self_half, mean_half) = cat.row_mut(d).split_at_mut(f);
+                    self_half.copy_from_slice(h_src.row(d));
+                    mean_half.copy_from_slice(mean.row(d));
                 }
-                return (self_feats.hconcat(&mean), None);
+                return (cat, None);
             }
         };
         (aggregate_gcn(block, h_src, &coef), Some(coef))
@@ -346,19 +348,14 @@ impl GnnModel {
 }
 
 struct LayerCache {
-    /// Input features of the layer (`H_src`).
-    h_src: Matrix,
     /// The GEMM input (aggregated for GCN, concatenated for SAGE).
     update_in: Matrix,
-    /// Pre-activation output.
-    z: Matrix,
+    /// The layer's output: `ReLU(z)` for hidden layers (the next
+    /// layer's input and this layer's ReLU mask), `z` for the last (the
+    /// logits).
+    out: Matrix,
     /// GCN coefficients (None for SAGE).
     gcn_coef: Option<GcnCoefficients>,
-}
-
-struct ForwardCache {
-    per_layer: Vec<LayerCache>,
-    logits: Matrix,
 }
 
 #[cfg(test)]
@@ -432,6 +429,48 @@ mod tests {
         let b = model.train_step(&mb, &x, &l);
         assert_eq!(a.loss, b.loss);
         assert!(a.grads.approx_eq(&b.grads, 0.0));
+    }
+
+    /// FNV-1a over the bit patterns of every loss and gradient entry of
+    /// `train_step` on three seeded batches.
+    fn step_bits(ds: &Dataset, sampler: &NeighborSampler, model: &GnnModel) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |v: f32| {
+            for byte in v.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for step in 0..3 {
+            let seeds: Vec<u32> = ds.splits.train[step * 24..(step + 1) * 24].to_vec();
+            let mb = sampler.sample(&ds.graph, &seeds, step as u64);
+            let x = gather_features(&ds.data.features, &mb.input_nodes);
+            let out = model.train_step(&mb, &x, &labels_of(ds, &seeds));
+            eat(out.loss);
+            for (dw, db) in out.grads.d_weights.iter().zip(&out.grads.d_biases) {
+                dw.as_slice().iter().chain(db).for_each(|&v| eat(v));
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn train_step_bits_are_pinned() {
+        // Recorded before layer 0's input gradient was dropped and the
+        // forward copies removed: neither may move a single bit.
+        for (kind, want) in [
+            (GnnKind::Gcn, 0x22e8_17e1_3c29_10a2_u64),
+            (GnnKind::GraphSage, 0x9cfe_01b7_dbbf_4542),
+            (GnnKind::Gin, 0x95a5_5f6e_5fd6_fa55),
+        ] {
+            let (ds, sampler, model) = setup(kind);
+            let got = step_bits(&ds, &sampler, &model);
+            assert_eq!(got, want, "{}: {got:#018x}", kind.name());
+        }
+        let ds = Dataset::toy(9);
+        let sampler = NeighborSampler::new(vec![5, 4, 3], 2);
+        let model = GnnModel::new(GnnKind::GraphSage, &[16, 32, 32, 4], 3);
+        let got = step_bits(&ds, &sampler, &model);
+        assert_eq!(got, 0xfa34_fd81_7c90_9cd6, "3-layer GraphSAGE: {got:#018x}");
     }
 
     #[test]

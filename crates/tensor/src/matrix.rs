@@ -244,25 +244,9 @@ impl Matrix {
         Matrix::from_vec(self.rows + bottom.rows, self.cols, data)
     }
 
-    /// Horizontally concatenate two matrices with equal row counts.
-    ///
-    /// Used by the GraphSAGE update (`h_v || mean(h_u)`, paper Eq. 4).
-    ///
-    /// # Panics
-    /// On row mismatch.
-    pub fn hconcat(&self, right: &Matrix) -> Matrix {
-        assert_eq!(self.rows, right.rows, "hconcat row mismatch");
-        let mut out = Matrix::zeros(self.rows, self.cols + right.cols);
-        for r in 0..self.rows {
-            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            out.row_mut(r)[self.cols..].copy_from_slice(right.row(r));
-        }
-        out
-    }
-
     /// Split off the first `left_cols` columns, returning `(left, right)`.
     ///
-    /// Inverse of [`Matrix::hconcat`]; used by the SAGE backward pass.
+    /// Used by the SAGE backward pass to split `∂[self ‖ mean]`.
     ///
     /// # Panics
     /// If `left_cols > cols`.
@@ -389,14 +373,14 @@ mod tests {
     }
 
     #[test]
-    fn hconcat_hsplit_roundtrip() {
-        let a = Matrix::from_fn(3, 2, |r, c| (r + c) as f32);
-        let b = Matrix::from_fn(3, 4, |r, c| (r * c) as f32 + 0.5);
-        let cat = a.hconcat(&b);
-        assert_eq!(cat.shape(), (3, 6));
-        let (l, r) = cat.hsplit(2);
-        assert_eq!(l, a);
-        assert_eq!(r, b);
+    fn hsplit_splits_columns() {
+        let m = Matrix::from_fn(3, 6, |r, c| (10 * r + c) as f32);
+        let (l, r) = m.hsplit(2);
+        assert_eq!(l, Matrix::from_fn(3, 2, |r, c| (10 * r + c) as f32));
+        assert_eq!(r, Matrix::from_fn(3, 4, |r, c| (10 * r + c + 2) as f32));
+        let (all, none) = m.hsplit(6);
+        assert_eq!(all, m);
+        assert_eq!(none.shape(), (3, 0));
     }
 
     #[test]
